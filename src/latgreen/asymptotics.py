@@ -15,7 +15,6 @@ uniform power-times-exponential upper bound with caller-supplied constants.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -328,15 +327,11 @@ class BoundReport:
     n_checked: int
 
 
-def uniform_bound_check(
-    d, q, kappa, kappa1, a_values, box, cfg=DEFAULT_QUADRATURE, workers=1
-):
+def uniform_bound_check(d, q, kappa, kappa1, a_values, box, cfg=DEFAULT_QUADRATURE):
     """Sweep ``a`` and the box and report the max of value / bound.
 
     Exploits permutation and sign symmetry: only sorted nonnegative points
-    are evaluated.  Grid points are independent, so they may be evaluated by
-    a thread pool; the report is reduced in sorted grid order, making the
-    result identical for any worker count.
+    are evaluated.
     """
     if box < 1:
         raise DomainError("box must be >= 1")
@@ -344,19 +339,11 @@ def uniform_bound_check(
         (float(a), x) for a in a_values for x in _sorted_box_points(d, box)
     ]
 
-    def ratio_at(task):
-        a, x = task
-        val = green_bessel(GreenParams(d, a, q), x, cfg)
-        return val.value / uniform_bound_rhs(d, q, a, x, kappa1, kappa)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ratios = list(pool.map(ratio_at, tasks))
-    else:
-        ratios = [ratio_at(t) for t in tasks]
     worst = -math.inf
     arg = (float("nan"), ())
-    for (a, x), ratio in zip(tasks, ratios):
+    for a, x in tasks:
+        val = green_bessel(GreenParams(d, a, q), x, cfg)
+        ratio = val.value / uniform_bound_rhs(d, q, a, x, kappa1, kappa)
         if ratio > worst:
             worst = ratio
             arg = (a, tuple(int(c) for c in x))

@@ -30,7 +30,7 @@ from .asymptotics import (
     oz_isotropic_estimate,
     uniform_bound_check,
 )
-from .errors import AccuracyError, DomainError, LatticeGreenError
+from .errors import AccuracyError, LatticeGreenError
 from .lattice import GreenParams, green_bessel, green_d1_closed, green_fourier_oracle
 from .norm import a_norm, mass, u_scale, unit_ball_rows
 from .quadrature import QuadratureConfig
@@ -62,12 +62,15 @@ def _ints(text):
     return tuple(int(c) for c in text.split(","))
 
 
-def _default_rel_tol():
-    raw = os.environ.get(_REL_TOL_ENV)
-    return float(raw) if raw else 1e-11
-
-
-def _quad_config(rel_tol):
+def _quad_config(args, parser):
+    """Tolerance from --rel-tol, else $LATGREEN_REL_TOL (read only here), else 1e-11."""
+    rel_tol, raw = args.rel_tol, os.environ.get(_REL_TOL_ENV)
+    if rel_tol is None:
+        try:
+            rel_tol = float(raw) if raw else 1e-11
+        except ValueError:
+            msg = f"{parser.prog}: error: {_REL_TOL_ENV}={raw!r} is not a number\n"
+            parser.exit(EXIT_USAGE, msg)
     return QuadratureConfig(rel_tol=rel_tol)
 
 
@@ -125,7 +128,7 @@ def _cmd_eval(args, parser):
     if args.method == "mc" and args.a <= 0:
         parser.error("--method mc requires --a > 0")
     out = _Output(args)
-    cfg = _quad_config(args.rel_tol)
+    cfg = _quad_config(args, parser)
     for xs in args.x:
         if len(xs) != args.d:
             parser.error(f"--x {xs} does not have {args.d} coordinates")
@@ -212,7 +215,7 @@ def _cmd_asy(args, parser):
     xs = args.x
     if len(xs) != args.d:
         parser.error(f"--x {xs} does not have {args.d} coordinates")
-    cfg = _quad_config(args.rel_tol)
+    cfg = _quad_config(args, parser)
     x_label = ",".join(str(int(c)) for c in xs)
     for n in args.n_list:
         a_n = args.a if args.a is not None else args.s / n
@@ -277,8 +280,7 @@ def _cmd_bound(args, parser):
     if not (0.0 < args.kappa < 1.0):
         parser.error("--kappa must lie in (0, 1)")
     report = uniform_bound_check(
-        args.d, args.q, args.kappa, args.kappa1, args.a_grid, args.box,
-        workers=args.workers,
+        args.d, args.q, args.kappa, args.kappa1, args.a_grid, args.box
     )
     out = _Output(args)
     header = ["holds", "worst_ratio", "worst_a", "worst_x", "n_checked"]
@@ -312,7 +314,8 @@ def _build_parser():
                         help="comma-separated integers; repeatable")
     p_eval.add_argument("--method", required=True,
                         choices=["bessel", "fourier", "closed-d1", "mc"])
-    p_eval.add_argument("--rel-tol", type=float, default=_default_rel_tol())
+    p_eval.add_argument("--rel-tol", type=float,
+                        help=f"default: ${_REL_TOL_ENV}, else 1e-11")
     p_eval.add_argument("--seed", type=int, default=2024)
     p_eval.add_argument("--walks", type=int, default=100_000)
     common(p_eval)
@@ -336,7 +339,8 @@ def _build_parser():
     p_asy.add_argument("--a", type=float)
     p_asy.add_argument("--s", type=float)
     p_asy.add_argument("--n-list", type=_ints, required=True)
-    p_asy.add_argument("--rel-tol", type=float, default=_default_rel_tol())
+    p_asy.add_argument("--rel-tol", type=float,
+                        help=f"default: ${_REL_TOL_ENV}, else 1e-11")
     common(p_asy)
 
     p_gbar = sub.add_parser("gbar", help="Laplace-exponent curve export")
@@ -354,8 +358,6 @@ def _build_parser():
     p_bound.add_argument("--kappa1", type=float, required=True)
     p_bound.add_argument("--a-grid", type=_floats, required=True)
     p_bound.add_argument("--box", type=int, required=True)
-    p_bound.add_argument("--workers", type=int, default=1,
-                         help="thread pool size for the sweep")
     common(p_bound)
 
     return parser
@@ -379,7 +381,7 @@ def main(argv=None):
     except AccuracyError as exc:
         print(f"latgreen: accuracy error: {exc}", file=sys.stderr)
         return EXIT_ACCURACY
-    except (DomainError, LatticeGreenError, ValueError) as exc:
+    except LatticeGreenError as exc:
         print(f"latgreen: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -14,6 +14,16 @@ provided:
     ``t = exp(2 sinh v)``, which forces double-exponential decay for
     integrands with an essential singularity at 0 (e.g. ``exp(-c/t)``).
 
+Each node of the transformed integrand ``g(v)`` is evaluated at most once per
+integral.  A fixed-step scan grid locates the peak, and each tail ends at the
+first scan node at or below ``max g - _TAIL_DROP``; while a tail runs off the
+grid, the grid is extended on that side by one vectorised block, clipped to
+exactly ``+-v_cap``.  The trapezoid rule on ``[v_lo, v_hi]`` then halves ``h``
+until two levels agree (the h-vs-2h difference is the error estimate; see
+Trefethen & Weideman, SIAM Rev. 56 (2014) 385).  Each level keeps the previous
+one at its even indices and evaluates only its odd nodes, reusing the scanned
+value where a node lands on the scan grid.
+
 Everything is accumulated through ``logsumexp`` so integrals as small as
 ``exp(-1000)`` keep full relative accuracy.
 """
@@ -97,34 +107,33 @@ def log_integral_semi_infinite(log_integrand, config=DEFAULT_QUADRATURE):
     """
     g, v_cap, scan_step, scan_half = _log_weighted(log_integrand, config.transform)
 
-    # Locate the peak of the transformed integrand, widening the scan window
-    # if the maximum sits on its edge.
-    lo, hi = -scan_half, scan_half
+    # Scan for the peak; a tail ends at the first node at or below the cut-off,
+    # or at the cap, and the grid grows by one block while a tail runs off it.
+    grid = np.arange(-scan_half, scan_half + scan_step / 2, scan_step)
+    vals = g(grid)
     while True:
-        grid = np.arange(lo, hi + scan_step / 2, scan_step)
-        vals = g(grid)
         if not np.any(np.isfinite(vals)):
             raise AccuracyError("integrand is zero everywhere scanned", best=-np.inf)
         imax = int(np.nanargmax(vals))
-        if imax == 0 and lo > -v_cap:
-            lo = max(lo - 2 * scan_half, -v_cap)
-        elif imax == len(grid) - 1 and hi < v_cap:
-            hi = min(hi + 2 * scan_half, v_cap)
+        stop = ~(vals > vals[imax] - _TAIL_DROP)
+        stop[imax] = False  # even where the cut-off rounds to the peak value
+        stop |= np.abs(grid) >= v_cap
+        left, right = np.flatnonzero(stop[: imax + 1]), imax + np.flatnonzero(stop[imax:])
+        if left.size == 0:
+            edge = max(grid[0] - 2 * scan_half, -v_cap)
+            new = np.arange(edge, grid[0] - scan_step / 2, scan_step)
+            grid, vals = np.r_[new, grid], np.r_[g(new), vals]
+        elif right.size == 0:
+            edge = min(grid[-1] + 2 * scan_half, v_cap)
+            new = np.arange(edge, grid[-1] + scan_step / 2, -scan_step)[::-1]
+            grid, vals = np.r_[grid, new], np.r_[vals, g(new)]
         else:
             break
-    v_peak, g_peak = grid[imax], vals[imax]
-
-    # March outward until the integrand has dropped far below the peak.
-    step = scan_step
-    v_lo = v_peak
-    while v_lo > -v_cap and g(np.array([v_lo]))[0] > g_peak - _TAIL_DROP:
-        v_lo = max(v_lo - step, -v_cap)
-    v_hi = v_peak
-    while v_hi < v_cap and g(np.array([v_hi]))[0] > g_peak - _TAIL_DROP:
-        v_hi = min(v_hi + step, v_cap)
+    v_lo, v_hi = grid[left[-1]], grid[right[0]]
 
     span = v_hi - v_lo
     h = span / max(64, int(np.ceil(span / (8.0 * scan_step))))
+    level = grid[:0]
     log_prev = None
     est = np.inf
     best = None
@@ -136,8 +145,18 @@ def log_integral_semi_infinite(log_integrand, config=DEFAULT_QUADRATURE):
                 best=best,
                 est_error=est,
             )
-        nodes = v_lo + h * np.arange(n)
-        log_i = logsumexp(g(nodes)) + np.log(h)
+        # the previous level fills the even indices (none on the first level)
+        idx = np.arange(n)
+        fresh = idx[(idx % 2 == 1) | (idx >= 2 * level.size)]
+        prev, level = level, np.empty(n)
+        level[: 2 * prev.size : 2] = prev
+        v = v_lo + h * fresh
+        pos = np.minimum(np.searchsorted(grid, v), grid.size - 1)
+        scanned = grid[pos] == v
+        level[fresh[scanned]] = vals[pos[scanned]]
+        if not scanned.all():
+            level[fresh[~scanned]] = g(v[~scanned])
+        log_i = logsumexp(level) + np.log(h)
         if log_prev is not None:
             est = abs(log_i - log_prev)
             best = log_i

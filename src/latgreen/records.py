@@ -75,7 +75,9 @@ class OutputRecord:
             q=float(q) if q else None,
             s=float(s) if s else None,
             n=int(n) if n else None,
-            x=tuple(float(c) for c in x.split(",")) if x else (),
+            # lattice points are written as ints, real points as floats
+            x=tuple(int(c) if c.lstrip("-").isdigit() else float(c) for c in x.split(","))
+            if x else (),
             value=float(value),
             log_value=float(log_value),
             est_error=float(est_error),

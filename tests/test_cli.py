@@ -333,11 +333,39 @@ class TestRecordRoundTrip:
             est_error=3.2e-16, regime="I_anisotropic_OZ",
         )
         back = OutputRecord.from_csv_row(rec.to_csv_row())
-        assert back == OutputRecord(
-            method="bessel_rep", d=3, a=0.25, q=1.5, s=None, n=17,
-            x=(1.0, -2.0, 0.0), value=1.25e-7, log_value=-15.895,
-            est_error=3.2e-16, regime="I_anisotropic_OZ",
+        assert back == rec
+        assert all(type(c) is int for c in back.x)
+
+    @staticmethod
+    def csv_round_trip(rec):
+        stream = io.StringIO()
+        csv.writer(stream, lineterminator="\n").writerow(rec.to_csv_row())
+        (row,) = csv.reader(io.StringIO(stream.getvalue()))
+        return OutputRecord.from_csv_row(row)
+
+    def test_csv_file_eval_row(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "eval", "--d", "3", "--a", "0.5", "--q", "1",
+            "--x", "2,-1,0", "--method", "bessel",
         )
+        assert code == 0
+        _, body = parse_csv(out)
+        rec = OutputRecord.from_csv_row(body[0])
+        assert rec.x == (2, -1, 0)
+        assert all(type(c) is int for c in rec.x)
+        assert rec.to_csv_row() == body[0]
+        assert self.csv_round_trip(rec) == rec
+
+    def test_csv_file_norm_row(self):
+        # the norm accepts real coordinates; they must come back as floats
+        rec = OutputRecord(
+            method="a_norm", d=2, a=0.01, q=None, s=None, n=None,
+            x=(3.0, -4.5), value=5.4, log_value=math.log(5.4),
+            est_error=0.0, regime=None,
+        )
+        back = self.csv_round_trip(rec)
+        assert back == rec
+        assert all(type(c) is float for c in back.x)
 
     def test_json(self):
         rec = OutputRecord(
@@ -356,7 +384,7 @@ class TestRecordRoundTrip:
         assert obj["params"]["d"] == 1
 
 
-class TestEnvironmentAndWorkers:
+class TestEnvironment:
     def test_rel_tol_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("LATGREEN_REL_TOL", "1e-8")
         code, out, _ = run_cli(
@@ -369,17 +397,37 @@ class TestEnvironmentAndWorkers:
         lib = green_bessel(GreenParams(1, 1.0, 1.0), [1])
         assert rec.value == pytest.approx(lib.value, rel=1e-7)
 
-    def test_bound_workers_deterministic(self, capsys):
-        outs = []
-        for workers in ("1", "4"):
-            code, out, _ = run_cli(
-                capsys, "bound", "--d", "3", "--q", "1", "--kappa", "0.5",
-                "--kappa1", "0.6", "--a-grid", "0.5", "--box", "2",
-                "--workers", workers,
+    def test_malformed_rel_tol_env_exits_64(self, capsys, monkeypatch):
+        monkeypatch.setenv("LATGREEN_REL_TOL", "abc")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                capsys, "eval", "--d", "1", "--a", "1", "--q", "1",
+                "--x", "1", "--method", "bessel",
             )
-            assert code == 0
-            outs.append(out)
-        assert outs[0] == outs[1]
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1
+        assert "LATGREEN_REL_TOL" in captured.err
+
+    def test_rel_tol_flag_wins_over_malformed_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("LATGREEN_REL_TOL", "abc")
+        code, _, _ = run_cli(
+            capsys, "eval", "--d", "1", "--a", "1", "--q", "1",
+            "--x", "1", "--method", "bessel", "--rel-tol", "1e-10",
+        )
+        assert code == 0
+
+    def test_norm_ignores_rel_tol_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("LATGREEN_REL_TOL", "abc")
+        code, out, err = run_cli(
+            capsys, "norm", "--d", "3", "--a", "0.5", "--x", "1,0,0"
+        )
+        assert code == 0
+        assert err == ""
+        _, body = parse_csv(out)
+        assert len(body) == 1
 
 
 class TestAccuracyExitCode:
@@ -397,3 +445,31 @@ class TestAccuracyExitCode:
         )
         assert code == 3
         assert "accuracy" in err
+
+    def test_domain_error_exits_2(self, capsys, monkeypatch):
+        import latgreen.cli as cli_mod
+        from latgreen import DomainError
+
+        def boom(*args, **kwargs):
+            raise DomainError("synthetic domain failure")
+
+        monkeypatch.setattr(cli_mod, "green_bessel", boom)
+        code, _, err = run_cli(
+            capsys, "eval", "--d", "1", "--a", "1", "--q", "1",
+            "--x", "0", "--method", "bessel",
+        )
+        assert code == 2
+        assert "synthetic domain failure" in err
+
+    def test_untyped_error_is_not_a_domain_error(self, capsys, monkeypatch):
+        import latgreen.cli as cli_mod
+
+        def bug(*args, **kwargs):
+            raise ValueError("not a latgreen error")
+
+        monkeypatch.setattr(cli_mod, "green_bessel", bug)
+        with pytest.raises(ValueError):
+            run_cli(
+                capsys, "eval", "--d", "1", "--a", "1", "--q", "1",
+                "--x", "0", "--method", "bessel",
+            )

@@ -1,0 +1,107 @@
+"""Semi-infinite log-space trapezoid rule: closed forms, node reuse, budget."""
+
+import numpy as np
+import pytest
+from scipy.special import gammaln, kv
+
+import latgreen.lattice as lattice_mod
+from latgreen import AccuracyError, GreenParams, green_bessel, log_bessel_k
+from latgreen.quadrature import QuadratureConfig, log_integral_semi_infinite
+
+
+class CountingIntegrand:
+    """Wrap a log-integrand, recording every batch of ``t`` it is called on."""
+
+    def __init__(self, log_f):
+        self.log_f = log_f
+        self.batches = []
+
+    def __call__(self, t):
+        self.batches.append(np.array(t, copy=True))
+        return self.log_f(t)
+
+    @property
+    def nodes(self):
+        return np.concatenate(self.batches)
+
+
+def log_gamma_integrand(s, log_lam):
+    """log of ``t^(s-1) exp(-lambda t)`` with ``lambda = exp(log_lam)``."""
+
+    def log_f(t):
+        return (s - 1.0) * np.log(t) - np.exp(log_lam + np.log(t))
+
+    return log_f
+
+
+@pytest.mark.parametrize(
+    "s, log_lam",
+    [
+        (1.0, 0.0),  # peak inside the first scan window
+        (2.0, 500.0),  # value exp(-1000), peak at v = -500
+        (1.5, -200.0),  # peak near v = +199, far outside the first window
+        (0.08, 0.0),  # left tail still above the cut-off at v = -v_cap
+    ],
+)
+def test_gamma_closed_form(s, log_lam):
+    f = CountingIntegrand(log_gamma_integrand(s, log_lam))
+    log_val, est = log_integral_semi_infinite(f)
+    want = gammaln(s) - s * log_lam
+    assert log_val == pytest.approx(want, abs=1e-11 * max(1.0, abs(want)))
+    assert est <= 1e-11 * max(1.0, abs(want))
+    nodes = f.nodes
+    assert np.unique(nodes).size == nodes.size, "a node was evaluated twice"
+
+
+def test_tail_clipped_at_v_cap():
+    f = CountingIntegrand(log_gamma_integrand(0.08, 0.0))
+    log_integral_semi_infinite(f)
+    # t = exp(v): the cut-off would sit near v = -754, so the grid stops at
+    # exactly v = -700
+    assert np.log(f.nodes.min()) == pytest.approx(-700.0, abs=1e-12)
+
+
+def test_far_peak_extends_scan_grid():
+    f = CountingIntegrand(log_gamma_integrand(1.5, -200.0))
+    log_integral_semi_infinite(f)
+    v = np.log(f.batches[0])
+    assert v.min() == pytest.approx(-60.0) and v.max() == pytest.approx(60.0)
+    # two one-sided blocks reach the peak near v = 199 and its right tail
+    assert np.log(f.nodes.max()) > 200.0
+    assert len(f.batches) <= 8
+
+
+@pytest.mark.parametrize(
+    "alpha, z",
+    [(0.0, 1e-3), (0.5, 1.0), (1.0, 2.5), (2.5, 10.0), (7.0, 3.0), (1.0, 100.0)],
+)
+def test_double_exponential_bessel_k_against_scipy(alpha, z):
+    assert log_bessel_k(alpha, z) == pytest.approx(np.log(kv(alpha, z)), abs=1e-11)
+
+
+def test_regime_point_evaluates_each_node_once(monkeypatch):
+    seen = []
+
+    def counting_quadrature(log_f, cfg):
+        f = CountingIntegrand(log_f)
+        seen.append(f)
+        return log_integral_semi_infinite(f, cfg)
+
+    monkeypatch.setattr(lattice_mod, "log_integral_semi_infinite", counting_quadrature)
+    green_bessel(GreenParams(3, 0.5, 1.0), [8, 4, 4])
+    (f,) = seen
+    assert len(f.batches) <= 8
+    nodes = f.nodes
+    assert np.unique(nodes).size == nodes.size
+
+
+def test_node_budget_keeps_best_and_error():
+    # levels hold 65, 129, 257 nodes; the budget stops before the third,
+    # and h = 1/2 is not yet within 1e-12 of h = 1
+    cfg = QuadratureConfig(max_nodes=200, rel_tol=1e-12)
+    with pytest.raises(AccuracyError) as exc:
+        log_integral_semi_infinite(log_gamma_integrand(1.0, 0.0), cfg)
+    best, est = exc.value.best, exc.value.est_error
+    assert best is not None and np.isfinite(est)
+    assert 0.25e-12 < est < 1e-3
+    assert abs(best - 0.0) <= est
