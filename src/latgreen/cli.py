@@ -23,6 +23,7 @@ import sys
 
 import numpy as np
 
+from . import walk
 from .asymptotics import (
     critical_estimate,
     gbar_curve,
@@ -132,6 +133,14 @@ def _cmd_eval(args, parser):
     for xs in args.x:
         if len(xs) != args.d:
             parser.error(f"--x {xs} does not have {args.d} coordinates")
+    if args.method == "mc":
+        # one ensemble for every point: the draws do not depend on the window
+        box = max(3, max(abs(c) for xs in args.x for c in xs))
+        wcfg = WalkConfig(
+            d=args.d, a=args.a, n_walks=args.walks, seed=args.seed, max_box=box
+        )
+        tallies = walk.run_killed_walks(wcfg)
+    for xs in args.x:
         if args.method == "bessel":
             gv = green_bessel(GreenParams(args.d, args.a, args.q), xs, cfg)
             value, log_value, est = gv.value, gv.log_value, gv.est_error
@@ -145,11 +154,7 @@ def _cmd_eval(args, parser):
             value, log_value, est = gv.value, gv.log_value, gv.est_error
             method = gv.method
         else:
-            box = max(3, max(abs(int(c)) for c in xs))
-            wcfg = WalkConfig(
-                d=args.d, a=args.a, n_walks=args.walks, seed=args.seed, max_box=box
-            )
-            est_v = estimate_green(wcfg, xs)
+            est_v = estimate_green(wcfg, xs, tallies)
             value, est = est_v.mean, est_v.std_err
             log_value = math.log(value) if value > 0 else -math.inf
             method = "monte_carlo"

@@ -181,6 +181,10 @@ _WINDOW_OUTER = 2.25
 _RADIAL_NODES = 90
 _SPHERE_POLAR = 60
 _SPHERE_AZIMUTH = 120
+# Largest n^d grid, as bytes of complex128, that the oracle may build.  The
+# acceptance grid needs at most 256^3 (256 MiB); one evaluation holds a few
+# such arrays at once.
+_FOURIER_GRID_BYTES = 2 ** 29
 
 
 def _smooth_window(r):
@@ -355,7 +359,9 @@ def green_fourier_oracle(p, x, grid_n=None, rel_tol=1e-8):
     grid_n : int, optional
         Nodes per axis (>= 64).  Default sizes the grid from the decay rate;
         the shifted-contour path retries once at double size if the error
-        estimate misses ``rel_tol``.
+        estimate misses ``rel_tol``.  A grid over the byte budget is never
+        built: the oracle raises ``AccuracyError`` instead, carrying the
+        previous size's ``best`` and ``est_error`` if one was tried.
 
     Returns
     -------
@@ -405,6 +411,13 @@ def green_fourier_oracle(p, x, grid_n=None, rel_tol=1e-8):
 
     failure = None
     for n in sizes:
+        if n ** p.d * 16 > _FOURIER_GRID_BYTES:
+            raise AccuracyError(
+                f"Fourier grid {n}^{p.d} is over the "
+                f"{_FOURIER_GRID_BYTES}-byte budget",
+                best=failure.best if failure else None,
+                est_error=failure.est_error if failure else float("nan"),
+            )
         coarse2, (im, scale) = evaluate(n // 4, check_imag=True)
         if abs(im) > 1e-12 * (scale + abs(coarse2)):
             raise AccuracyError(f"imaginary part {im} too large", best=coarse2)

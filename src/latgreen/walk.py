@@ -9,7 +9,20 @@ window keep running because they may return, only the tallying is windowed.
 Walks advance in vectorized batches with per-step Bernoulli killing.  Each
 batch draws from its own Philox (counter-based) stream keyed by
 ``(seed, batch_index)``, so the merged tallies are independent of batch
-execution order and bit-reproducible for a fixed config.
+execution order and bit-reproducible for a fixed config.  The draws do not
+depend on the window: a larger window gives the same tallies at every point
+of a smaller one.
+
+The tally is sparse.  Each in-window step of a walk records one int64 key
+``flat * batch + walk`` (``flat`` is the point's index in the window, row
+major).  Sorting a batch's keys puts the visits of one walk to one point in
+a run; the run lengths are the per-walk visit counts ``c``, and summing
+``c`` and ``c^2`` over the runs of each point gives the batch's tallies.
+Batches are merged over the points visited so far.  Memory therefore scales
+with the number of in-window steps of one batch plus the number of visited
+points, never with the window volume ``(2 max_box + 1)^d``; the window is
+limited only by the key range (``WalkConfig`` refuses windows whose keys
+could overflow int64).
 """
 
 import math
@@ -57,6 +70,8 @@ class WalkConfig:
             raise ConfigError("seed must fit in 64 bits")
         if self.max_box < 0:
             raise ConfigError("max_box must be >= 0")
+        if (2 * self.max_box + 1) ** self.d * _BATCH >= 2 ** 63:
+            raise ConfigError("max_box too large: tally keys would overflow int64")
 
     @property
     def death_probability(self):
@@ -78,38 +93,57 @@ def _batch_rng(cfg, batch_index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _strides(d, side):
+    """Row-major window strides: flat index ``sum((x_i + b) * stride_i)``."""
+    return side ** np.arange(d - 1, -1, -1, dtype=np.int64)
+
+
+def _run_starts(sorted_keys):
+    """Index of the first element of each run of equal keys."""
+    new = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    return np.flatnonzero(new)
+
+
 def _run_batch(cfg, batch_index, n_walks):
-    """Tally one batch; returns (sum, sum of squares) per window point."""
+    """Tally one batch over the window points it visited.
+
+    Returns ``(flat, sums, sq_sums)``: the visited flat window indices in
+    increasing order, and per point the sum over walks of the visit count
+    ``c`` and of ``c^2``.
+    """
     d, b = cfg.d, cfg.max_box
-    side = 2 * b + 1
-    n_points = side ** d
-    strides = side ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    strides = _strides(d, 2 * b + 1)
     rng = _batch_rng(cfg, batch_index)
     p_die = cfg.death_probability
 
-    visits = np.zeros((n_walks, n_points), dtype=np.int32)
-    origin_flat = int(((np.zeros(d, dtype=np.int64) + b) * strides).sum())
-    visits[:, origin_flat] = 1  # every walk starts (and is seen) at 0
+    # Row 0 of ``state`` is each live walk's key, flat * n_walks + walk; rows
+    # 1..d its coordinates.  Move m adds column m of ``shift`` to a walk's
+    # state.  Keys of walks outside the window may wrap around in int64, but
+    # only keys inside are recorded, and those fit (see WalkConfig).
+    moves = np.arange(2 * d)
+    shift = np.zeros((d + 1, 2 * d), dtype=np.int64)
+    shift[1 + (moves >> 1), moves] = 2 * (moves & 1) - 1
+    shift[0] = shift[1:].T @ strides * n_walks
+    start_keys = int(b * strides.sum()) * n_walks + np.arange(n_walks, dtype=np.int64)
+    keys = [start_keys]  # every walk starts (and is seen) at 0
+    state = np.zeros((d + 1, n_walks), dtype=np.int64)
+    state[0] = start_keys
+    while state.shape[1]:
+        survive = rng.random(state.shape[1]) >= p_die
+        state = state.take(np.flatnonzero(survive), axis=1)
+        state += shift.take(rng.integers(0, 2 * d, size=state.shape[1]), axis=1)
+        inside = np.logical_and.reduce(np.abs(state[1:]) <= b, axis=0)
+        keys.append(state[0, inside])
 
-    pos = np.zeros((n_walks, d), dtype=np.int64)
-    alive = np.arange(n_walks)
-    while alive.size:
-        survive = rng.random(alive.size) >= p_die
-        alive = alive[survive]
-        if not alive.size:
-            break
-        moves = rng.integers(0, 2 * d, size=alive.size)
-        axis = moves >> 1
-        sign = np.where(moves & 1, 1, -1).astype(np.int64)
-        pos[alive, axis] += sign
-        live_pos = pos[alive]
-        inside = np.all(np.abs(live_pos) <= b, axis=1)
-        if inside.any():
-            flat = ((live_pos[inside] + b) * strides).sum(axis=1)
-            np.add.at(visits, (alive[inside], flat), 1)
-    sums = visits.sum(axis=0, dtype=np.int64)
-    sq_sums = (visits.astype(np.int64) ** 2).sum(axis=0)
-    return sums, sq_sums
+    keys = np.concatenate(keys)
+    keys.sort()
+    start = _run_starts(keys)
+    visits = np.diff(start, append=keys.size)  # c of one walk at one point
+    flat = keys[start] // n_walks
+    start = _run_starts(flat)
+    sums = np.add.reduceat(visits, start)
+    sq_sums = np.add.reduceat(visits * visits, start)
+    return flat[start], sums, sq_sums
 
 
 def run_killed_walks(cfg):
@@ -123,32 +157,29 @@ def run_killed_walks(cfg):
     commutative addition.
     """
     d, b = cfg.d, cfg.max_box
-    side = 2 * b + 1
-    n_points = side ** d
-    sums = np.zeros(n_points, dtype=np.int64)
-    sq_sums = np.zeros(n_points, dtype=np.int64)
+    flat = sums = sq_sums = np.zeros(0, dtype=np.int64)
     remaining = cfg.n_walks
     batch_index = 0
     while remaining > 0:
         take = min(_BATCH, remaining)
-        s, s2 = _run_batch(cfg, batch_index, take)
-        sums += s
-        sq_sums += s2
+        f, s, s2 = _run_batch(cfg, batch_index, take)
+        flat = np.concatenate((flat, f))
+        order = np.argsort(flat, kind="stable")  # merges two sorted runs
+        flat = flat[order]
+        start = _run_starts(flat)
+        sums = np.add.reduceat(np.concatenate((sums, s))[order], start)
+        sq_sums = np.add.reduceat(np.concatenate((sq_sums, s2))[order], start)
+        flat = flat[start]
         remaining -= take
         batch_index += 1
 
     n = cfg.n_walks
+    coords = flat[:, None] // _strides(d, 2 * b + 1) % (2 * b + 1) - b
     out = {}
-    for flat in np.nonzero(sums)[0]:
-        coords = []
-        rest = int(flat)
-        for _ in range(d):
-            coords.append(rest % side - b)
-            rest //= side
-        point = tuple(reversed(coords))
-        mean = sums[flat] / n
+    for i, point in enumerate(map(tuple, coords.tolist())):
+        mean = sums[i] / n
         if n > 1:
-            var = (sq_sums[flat] - n * mean * mean) / (n - 1)
+            var = (sq_sums[i] - n * mean * mean) / (n - 1)
             std_err = math.sqrt(max(var, 0.0) / n)
         else:
             std_err = 0.0
@@ -158,18 +189,21 @@ def run_killed_walks(cfg):
     return out
 
 
-def estimate_green(cfg, x):
+def estimate_green(cfg, x, tallies=None):
     """Green-function estimate at one point: visits divided by ``1+a^2``.
 
     Points never visited give a degenerate (0, 0) estimate; ``x`` must lie
-    inside the tally window.
+    inside the tally window.  ``tallies``, if given, is
+    ``run_killed_walks(cfg)``: several points can be looked up in one
+    ensemble instead of running it once per point.
     """
     point = tuple(int(c) for c in np.asarray(x).ravel())
     if len(point) != cfg.d:
         raise DomainError(f"x must have {cfg.d} coordinates")
     if any(abs(c) > cfg.max_box for c in point):
         raise DomainError("x lies outside the tally window")
-    tallies = run_killed_walks(cfg)
+    if tallies is None:
+        tallies = run_killed_walks(cfg)
     scale = 1.0 + cfg.a * cfg.a
     est = tallies.get(point)
     if est is None:
@@ -206,9 +240,9 @@ def kill_time_survival(cfg, n_max):
             steps[idx[survive]] += 1
             # survival beyond n_max cannot change any reported count
             alive[steps >= n_max] = False
-        counts[0] += take
-        for n in range(1, n_max + 1):
-            counts[n] += int((steps >= n).sum())
+        # counts[n] gains the walks with at least n steps
+        hist = np.bincount(np.minimum(steps, n_max), minlength=n_max + 1)
+        counts += hist[::-1].cumsum()[::-1]
         remaining -= take
         batch_index += 1
     return counts

@@ -93,6 +93,39 @@ class TestEval:
         assert rec.method == "monte_carlo"
         assert rec.value == pytest.approx(1.0 / math.sqrt(3.0), abs=5 * rec.est_error)
 
+    def test_monte_carlo_points_share_one_ensemble(self, capsys, monkeypatch):
+        import latgreen.walk as walk_mod
+
+        common = (
+            "eval", "--d", "2", "--a", "0.5", "--q", "1", "--method", "mc",
+            "--walks", "20000", "--seed", "7",
+        )
+        # one point per call: windows of half-width 3 and 5
+        near = run_cli(capsys, *common, "--x", "1,0")[1].splitlines()
+        far = run_cli(capsys, *common, "--x", "5,-2")[1].splitlines()
+
+        ensembles = []
+        run = walk_mod.run_killed_walks
+
+        def counting_run(cfg):
+            ensembles.append(cfg.max_box)
+            return run(cfg)
+
+        monkeypatch.setattr(walk_mod, "run_killed_walks", counting_run)
+        code, out, _ = run_cli(capsys, *common, "--x", "1,0", "--x", "5,-2")
+        assert code == 0
+        assert ensembles == [5]
+        assert out.splitlines() == near + far[2:]
+
+    def test_monte_carlo_window_too_large_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval", "--d", "3", "--a", "0.5", "--q", "1",
+            "--x", "10000000,0,0", "--method", "mc",
+        )
+        assert code == 2
+        assert out == ""
+        assert "max_box" in err and "Traceback" not in err
+
     def test_multiple_points(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "--d", "1", "--a", "0.5", "--q", "2",
@@ -445,6 +478,18 @@ class TestAccuracyExitCode:
         )
         assert code == 3
         assert "accuracy" in err
+
+    def test_fourier_grid_over_budget_exits_3(self, capsys, monkeypatch):
+        import latgreen.lattice as lat
+
+        monkeypatch.setattr(lat, "_FOURIER_GRID_BYTES", 0)
+        code, out, err = run_cli(
+            capsys, "eval", "--d", "2", "--a", "1", "--q", "1",
+            "--x", "1,0", "--method", "fourier",
+        )
+        assert code == 3
+        assert out == ""
+        assert "budget" in err
 
     def test_domain_error_exits_2(self, capsys, monkeypatch):
         import latgreen.cli as cli_mod

@@ -189,6 +189,61 @@ class TestFourierOracle:
             green_fourier_oracle(GreenParams(1, 0.05, 1.0), [5], grid_n=64)
 
 
+class TestFourierBudget:
+    @pytest.fixture
+    def grids(self, monkeypatch):
+        """Record each torus grid built; fail on one over the budget."""
+        import latgreen.lattice as lat
+
+        seen = []
+        # position of the grid size n after d in each function's arguments
+        for name, n_at in (("_torus_sum", 3), ("_torus_sum_shifted", 4)):
+            inner = getattr(lat, name)
+
+            def spy(d, *args, _inner=inner, _n_at=n_at, **kwargs):
+                n = args[_n_at]
+                assert n**d * 16 <= lat._FOURIER_GRID_BYTES
+                seen.append(n)
+                return _inner(d, *args, **kwargs)
+
+            monkeypatch.setattr(lat, name, spy)
+        return seen
+
+    def test_real_budget_refuses_huge_grid(self, grids):
+        # auto grid 512^3, 1024^3 on the shifted retry: about 2 and 16 GiB
+        with pytest.raises(AccuracyError) as exc:
+            green_fourier_oracle(GreenParams(3, 0.05, 1.0), [40, 0, 0])
+        assert exc.value.best is None
+        assert grids == []
+
+    def test_user_grid_checked(self, grids, monkeypatch):
+        import latgreen.lattice as lat
+
+        monkeypatch.setattr(lat, "_FOURIER_GRID_BYTES", 16 * 127**2)
+        with pytest.raises(AccuracyError):
+            green_fourier_oracle(GreenParams(2, 1.0, 1.0), [1, 0], grid_n=128)
+        assert grids == []
+        green_fourier_oracle(GreenParams(2, 1.0, 1.0), [1, 0], grid_n=127)
+
+    def test_retry_over_budget_keeps_first_attempt(self, grids, monkeypatch):
+        import latgreen.lattice as lat
+
+        p, x = GreenParams(1, 0.5, 1.0), [20]  # shifted contour
+        with pytest.raises(AccuracyError) as full:
+            green_fourier_oracle(p, x, rel_tol=1e-30)
+        first = max(grids[:3])
+        assert max(grids) == 2 * first  # the retry at double size ran
+        grids.clear()
+        monkeypatch.setattr(lat, "_FOURIER_GRID_BYTES", 16 * first)
+        with pytest.raises(AccuracyError) as capped:
+            green_fourier_oracle(p, x, rel_tol=1e-30)
+        assert max(grids) == first
+        assert "budget" in str(capped.value)
+        assert np.isfinite(capped.value.best) and capped.value.best > 0.0
+        assert capped.value.est_error > 0.0
+        assert capped.value.best != full.value.best
+
+
 class TestCrossOracle:
     @pytest.mark.parametrize("d", [1, 2])
     def test_low_dimensions(self, d):
