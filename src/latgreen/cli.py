@@ -31,7 +31,7 @@ from .asymptotics import (
     oz_isotropic_estimate,
     uniform_bound_check,
 )
-from .errors import AccuracyError, LatticeGreenError
+from .errors import AccuracyError, DomainError, LatticeGreenError
 from .lattice import GreenParams, green_bessel, green_d1_closed, green_fourier_oracle
 from .norm import a_norm, mass, u_scale, unit_ball_rows
 from .quadrature import QuadratureConfig
@@ -122,7 +122,7 @@ class _Output:
 def _cmd_eval(args, parser):
     if args.method == "closed-d1" and args.d != 1:
         parser.error("--method closed-d1 requires --d 1")
-    if args.method == "closed-d1" and int(args.q) != args.q:
+    if args.method == "closed-d1" and not args.q.is_integer():
         parser.error("--method closed-d1 requires integer --q")
     if args.method == "mc" and args.q != 1:
         parser.error("--method mc requires --q 1")
@@ -223,10 +223,12 @@ def _cmd_asy(args, parser):
     cfg = _quad_config(args, parser)
     x_label = ",".join(str(int(c)) for c in xs)
     for n in args.n_list:
+        if n < 1:
+            raise DomainError("n must be >= 1")
         a_n = args.a if args.a is not None else args.s / n
         p = GreenParams(args.d, a_n, args.q)
         nx = [int(c) * n for c in xs]
-        if args.d == 1 and int(args.q) == args.q and a_n > 0:
+        if args.d == 1 and args.q.is_integer() and a_n > 0:
             exact = green_d1_closed(a_n, int(args.q), nx[0])
         else:
             exact = green_bessel(p, nx, cfg)

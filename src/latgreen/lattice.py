@@ -152,12 +152,14 @@ def green_d1_closed(a, q, x):
     """
     if not np.isfinite(a) or a <= 0.0:
         raise DomainError("a must be finite and > 0")
-    if int(q) != q or q < 1:
+    if not float(q).is_integer() or q < 1:
         raise UnsupportedError("closed form requires integer q >= 1")
     q = int(q)
     x = int(abs(np.asarray(x).item()))
     m = mass(1, a)
     sinh_m = math.sinh(m)
+    if sinh_m == 0.0:
+        raise AccuracyError(f"a = {a!r} too small: a^2 underflows and the mass is 0")
     ratio = math.exp(-m) / (2.0 * sinh_m)
     total = 0.0
     for ell in range(q):

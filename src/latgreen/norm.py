@@ -57,14 +57,18 @@ def mass(d, a):
 
     Zero exactly at ``a = 0`` and strictly increasing in ``a``; evaluated via
     ``log1p`` so the small-``a`` behaviour ``sqrt(2d) a`` keeps full relative
-    precision.
+    precision.  Raises ``DomainError`` once ``d a^2`` is too large for the
+    formula (about 1e154) to stay finite.
     """
     if int(d) != d or d < 1:
         raise DomainError("d must be an integer >= 1")
     if not np.isfinite(a) or a < 0.0:
         raise DomainError("a must be finite and >= 0")
     eps = d * a * a
-    return math.log1p(eps + math.sqrt(eps * (2.0 + eps)))
+    m = math.log1p(eps + math.sqrt(eps * (2.0 + eps)))
+    if not math.isfinite(m):
+        raise DomainError(f"a = {a!r} too large: the mass overflows for d = {d}")
+    return m
 
 
 def _as_points(x, d):
@@ -115,7 +119,7 @@ def u_scale_batch(points, d, a):
             break
     else:
         res = np.abs(residual(u)) / (d * (1.0 + a * a))
-        if np.max(res) > 1e-13:
+        if not np.max(res) <= 1e-13:  # nan-safe
             raise AccuracyError("implicit-scale Newton did not converge", best=u)
     return u
 

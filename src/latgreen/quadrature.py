@@ -103,7 +103,8 @@ def log_integral_semi_infinite(log_integrand, config=DEFAULT_QUADRATURE):
     ------
     AccuracyError
         If the node budget is exhausted before the doubling difference meets
-        ``config.rel_tol``.  The error carries the best log-estimate.
+        ``config.rel_tol`` (the error carries the best log-estimate), or if
+        the transformed integrand peaks at the cut-off ``+-v_cap``.
     """
     g, v_cap, scan_step, scan_half = _log_weighted(log_integrand, config.transform)
 
@@ -129,6 +130,12 @@ def log_integral_semi_infinite(log_integrand, config=DEFAULT_QUADRATURE):
             grid, vals = np.r_[grid, new], np.r_[vals, g(new)]
         else:
             break
+    if abs(grid[imax]) >= v_cap:
+        # still rising at the cut-off: the mass beyond it is unknown
+        raise AccuracyError(
+            f"integrand peaks at the cut-off v = {grid[imax]:+g} of the "
+            f"{config.transform} transform"
+        )
     v_lo, v_hi = grid[left[-1]], grid[right[0]]
 
     span = v_hi - v_lo

@@ -10,13 +10,21 @@ huge arguments produced by the Green-function quadratures.  A log variant is
 provided because products of many scaled factors with orders up to ~1e3
 underflow in linear space.
 
-Evaluation strategy (three regions, overlap-tested):
+Evaluation strategy: every node first gets ``log(ive(nu, t))`` from scipy's
+exponentially scaled ``ive`` (Amos, ACM TOMS 12 (1986) 265, Algorithm 644),
+which costs well under a microsecond per node.  That value is kept wherever it
+lies above ``_IVE_LOG_FLOOR``.  The other nodes go to a region dispatch that
+works in log space and covers every ``(nu, t)`` on its own:
 
-* power series, summed entirely in log space, for ``t <= max(crossover, nu)``
-  and for the moderate-order gap below;
-* the large-argument (Hankel) expansion once ``t`` dominates ``nu**2``;
-* the large-order uniform (Debye) expansion otherwise, using the standard
-  polynomials ``u_k`` through fifth order.
+* where ``ive`` underflows (``t`` small against ``nu``),
+  the power series takes ``t <= max(crossover, nu)`` and the large-order
+  uniform (Debye) expansion, with the standard polynomials ``u_k`` through
+  fifth order, takes orders ``nu >= 50`` above that;
+* where ``ive`` returns nan (past ``t ~ 1e9``), the large-argument (Hankel)
+  expansion takes ``t >= nu**2 / 2`` and Debye the larger orders.
+
+For ``nu < 50`` the series also spans the gap where neither expansion is
+accurate yet.
 
 Also here: the modified Bessel function of the second kind ``K_alpha`` via its
 symmetric integral representation (double-exponential quadrature, valid for
@@ -27,7 +35,7 @@ the large-order scaling form for ``ibar``.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, ive, logsumexp
 
 from .errors import AccuracyError, ConfigError, DomainError
 from .quadrature import QuadratureConfig, log_integral_semi_infinite
@@ -52,9 +60,11 @@ __all__ = [
 class BesselEvalConfig:
     """Evaluation knobs for the scaled-Bessel routines.
 
-    ``asymptotic_crossover`` is the argument threshold below which the power
-    series is always used; the series also covers the moderate-order gap where
-    neither asymptotic expansion is accurate yet.
+    ``asymptotic_crossover`` is the argument threshold below which the
+    fallback regions of :func:`log_scaled_bessel_i` (nodes where ``ive``
+    underflows or is out of range) use the power series; the series also
+    covers the moderate-order gap where neither asymptotic expansion is
+    accurate yet.
     """
 
     series_term_cap: int = 50_000
@@ -71,6 +81,11 @@ class BesselEvalConfig:
 
 
 DEFAULT_BESSEL_CONFIG = BesselEvalConfig()
+
+# log(ive) is kept above this.  ive returns 0 below about exp(-700.9), the
+# underflow limit of the Amos code, so the floor keeps only values clear of
+# that limit; the other nodes go to the log-space region dispatch.
+_IVE_LOG_FLOOR = -700.0
 
 # Minimum order for the uniform large-order expansion; below this the series
 # region is extended (t < nu**2 / 2 stays affordable for nu < 50).
@@ -223,6 +238,14 @@ def _uniform_log_ibar(nu, t):
 def log_scaled_bessel_i(nu, t, config=DEFAULT_BESSEL_CONFIG):
     """log of ``exp(-t) * I_nu(t)`` without overflow or underflow.
 
+    Each node takes ``log(ive(nu, t))`` from scipy where that lies above
+    ``_IVE_LOG_FLOOR``.  Nodes where ``ive`` underflows (``t`` small against
+    ``nu``) or returns nan (``t`` past ~1e9) fall back to the log-space
+    regions: the power series for ``t <= max(config.asymptotic_crossover,
+    nu)``, the Hankel expansion for ``t >= nu**2 / 2``, and the Debye
+    expansion in between for ``nu >= 50`` (the series again for smaller
+    orders).
+
     Parameters
     ----------
     nu : float
@@ -231,6 +254,7 @@ def log_scaled_bessel_i(nu, t, config=DEFAULT_BESSEL_CONFIG):
     t : float or ndarray
         Argument(s), >= 0.
     config : BesselEvalConfig
+        Governs the fallback regions only.
 
     Returns
     -------
@@ -255,6 +279,18 @@ def log_scaled_bessel_i(nu, t, config=DEFAULT_BESSEL_CONFIG):
 
     live = ~zero
     tv = t_arr[live]
+    with np.errstate(divide="ignore"):
+        res = np.log(ive(nu, tv))
+    # nan compares false, so out-of-range nodes join the underflowed ones
+    rest = ~(res > _IVE_LOG_FLOOR)
+    if np.any(rest):
+        res[rest] = _region_log_ibar(nu, tv[rest], config)
+    out[live] = res
+    return float(out[0]) if scalar else out
+
+
+def _region_log_ibar(nu, tv, config):
+    """Series/Hankel/Debye dispatch for positive arguments ``tv``."""
     res = np.empty_like(tv)
     series_gate = max(config.asymptotic_crossover, nu)
     m_series = tv <= series_gate
@@ -270,8 +306,7 @@ def log_scaled_bessel_i(nu, t, config=DEFAULT_BESSEL_CONFIG):
         res[m_hankel] = _hankel_log_ibar(nu, tv[m_hankel])
     if np.any(m_uniform):
         res[m_uniform] = _uniform_log_ibar(nu, tv[m_uniform])
-    out[live] = res
-    return float(out[0]) if scalar else out
+    return res
 
 
 def scaled_bessel_i(nu, t, config=DEFAULT_BESSEL_CONFIG):

@@ -231,18 +231,16 @@ def kill_time_survival(cfg, n_max):
     while remaining > 0:
         take = min(_BATCH, remaining)
         rng = _batch_rng(cfg, 2 ** 32 + batch_index)
-        steps = np.zeros(take, dtype=np.int64)
-        alive = np.ones(take, dtype=bool)
-        while alive.any():
-            survive = rng.random(int(alive.sum())) >= p_die
-            idx = np.nonzero(alive)[0]
-            alive[idx[~survive]] = False
-            steps[idx[survive]] += 1
-            # survival beyond n_max cannot change any reported count
-            alive[steps >= n_max] = False
-        # counts[n] gains the walks with at least n steps
-        hist = np.bincount(np.minimum(steps, n_max), minlength=n_max + 1)
-        counts += hist[::-1].cumsum()[::-1]
+        # every live walk has taken the same number of steps, so the number
+        # of survivors is all that counts[n] needs; walks past n_max are not
+        # followed
+        live = take
+        counts[0] += live
+        for n in range(1, n_max + 1):
+            live = int(np.count_nonzero(rng.random(live) >= p_die))
+            if live == 0:
+                break
+            counts[n] += live
         remaining -= take
         batch_index += 1
     return counts

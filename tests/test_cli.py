@@ -1,5 +1,6 @@
 """Command-line harness: commands, exit codes, serialization round-trips."""
 
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latgreen import GreenParams, OutputRecord, green_bessel, mass
 from latgreen.cli import main
@@ -185,6 +188,14 @@ class TestNorm:
     def test_nonpositive_killing_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "norm", "--d", "1", "--a", "0", "--x", "1")
         assert code == 2
+
+    def test_overflowing_killing_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "norm", "--d", "3", "--a", "1e300", "--x", "1,0,0"
+        )
+        assert code == 2
+        assert out == ""
+        assert "too large" in err
 
 
 class TestBall:
@@ -479,6 +490,19 @@ class TestAccuracyExitCode:
         assert code == 3
         assert "accuracy" in err
 
+    @pytest.mark.parametrize(
+        "d, q, x", [("1", "1", "1"), ("3", "2", "1,0,0")]
+    )
+    def test_peak_at_quadrature_cut_off_exits_3(self, capsys, d, q, x):
+        # a = 1e-300 squares to 0: the integrand still rises at t = exp(700)
+        code, out, err = run_cli(
+            capsys, "eval", "--d", d, "--a", "1e-300", "--q", q,
+            "--x", x, "--method", "bessel",
+        )
+        assert code == 3
+        assert out == ""
+        assert "cut-off" in err and "Traceback" not in err
+
     def test_fourier_grid_over_budget_exits_3(self, capsys, monkeypatch):
         import latgreen.lattice as lat
 
@@ -518,3 +542,48 @@ class TestAccuracyExitCode:
                 capsys, "eval", "--d", "1", "--a", "1", "--q", "1",
                 "--x", "0", "--method", "bessel",
             )
+
+
+_NUMBER_TEXT = ["0", "1e-300", "1e300", "nan", "inf", "-inf", "-1", "0.3", "1", "2.5"]
+
+
+@st.composite
+def _argv(draw):
+    """argv for eval (bessel, closed-d1), norm, asy and ball; small inputs."""
+    command = draw(st.sampled_from(["eval", "norm", "asy", "ball"]))
+    d = draw(st.integers(min_value=0, max_value=4))
+    a = draw(st.sampled_from(_NUMBER_TEXT))
+    if command == "ball":
+        points = draw(st.sampled_from(["0", "8", "12", "nan"]))
+        return ["ball", "--d", str(d), "--a", a, "--points", points]
+    coord = st.integers(min_value=-20, max_value=20).map(str)
+    if command == "norm":
+        coord = st.one_of(coord, st.sampled_from(["nan", "inf", "0.5", "-1e-300"]))
+    x = ",".join(draw(st.lists(coord, min_size=max(d, 1), max_size=max(d, 1) + 1)))
+    if command == "norm":
+        return ["norm", "--d", str(d), "--a", a, "--x", x]
+    q = draw(st.sampled_from(["0", "0.5", "1", "2", "nan", "inf", "-1"]))
+    if command == "eval":
+        method = draw(st.sampled_from(["bessel", "closed-d1"]))
+        return ["eval", "--d", str(d), "--a", a, "--q", q, "--x", x,
+                "--method", method]
+    n_list = ",".join(draw(st.lists(st.sampled_from(["0", "1", "2", "-1"]),
+                                    min_size=1, max_size=2)))
+    mode = draw(st.sampled_from([["--a", a], ["--s", a]]))
+    return ["asy", "--d", str(d), "--q", q, "--x", x, *mode, "--n-list", n_list]
+
+
+class TestErrorContractFuzz:
+    @given(argv=_argv())
+    @settings(max_examples=150, deadline=None)
+    def test_exit_code_in_contract(self, argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            with np.errstate(all="ignore"):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse usage errors
+                    code = exc.code
+        assert code in (0, 1, 2, 3, 64), argv
+        if code == 0:
+            assert "nan" not in out.getvalue(), argv

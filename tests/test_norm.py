@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latgreen import (
+    AccuracyError,
     DomainError,
     a_norm,
     a_norm_batch,
     mass,
     norm_context,
     u_scale,
+    u_scale_batch,
     unit_ball_boundary,
     unit_ball_rows,
 )
@@ -52,6 +54,12 @@ class TestMass:
             mass(2, -0.1)
         with pytest.raises(DomainError):
             mass(0, 1.0)
+
+    @pytest.mark.parametrize("d, a", [(3, 1e300), (3, 1e154), (1, 1e150)])
+    def test_overflowing_killing(self, d, a):
+        # d a^2 (or d a^2 (2 + d a^2)) overflows; the mass would read inf
+        with pytest.raises(DomainError, match="too large"):
+            mass(d, a)
 
 
 class TestUScale:
@@ -99,6 +107,12 @@ class TestUScale:
             u_scale([1.0, 0.0], 2, 0.0)
         with pytest.raises(DomainError):
             u_scale([1.0, 0.0], 2, -1.0)
+
+    @pytest.mark.parametrize("point", [[1e200, 1.0, 0.0], [1e-200, 0.0, 0.0]])
+    def test_overflowing_point_raises_not_nan(self, point):
+        # x_i^2 u^2 overflows, so Newton works on nan; that must not escape
+        with np.errstate(all="ignore"), pytest.raises(AccuracyError):
+            u_scale_batch(np.array([point]), 3, 0.5)
 
     def test_huge_killing(self):
         # stays finite and accurate far into the l1 regime

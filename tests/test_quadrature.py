@@ -105,3 +105,21 @@ def test_node_budget_keeps_best_and_error():
     assert best is not None and np.isfinite(est)
     assert 0.25e-12 < est < 1e-3
     assert abs(best - 0.0) <= est
+
+
+@pytest.mark.parametrize("transform", ["log_substitution", "double_exponential"])
+def test_peak_at_cut_off_raises(transform):
+    # log t^(1/2): the transformed integrand rises all the way to +v_cap
+    cfg = QuadratureConfig(transform=transform)
+    with pytest.raises(AccuracyError, match="cut-off"):
+        log_integral_semi_infinite(lambda t: 0.5 * np.log(t), cfg)
+
+
+@pytest.mark.parametrize(
+    "d, q, x", [(1, 1.0, [1]), (3, 2.0, [1, 0, 0])]
+)
+def test_underflowing_killing_peaks_at_cut_off(d, q, x):
+    # a^2 underflows to 0 for a = 1e-300, so these divergent massless
+    # integrands are still rising at t = exp(700)
+    with pytest.raises(AccuracyError, match="cut-off"):
+        green_bessel(GreenParams(d, 1e-300, q), x)

@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ive
 
 from latgreen import (
     BesselEvalConfig,
     ConfigError,
     DomainError,
+    GreenParams,
     bessel_k,
+    green_bessel,
+    green_d1_closed,
     log_bessel_k,
     log_scaled_bessel_i,
     log_uniform_l,
@@ -144,6 +148,60 @@ class TestScaledBesselI:
             BesselEvalConfig(series_term_cap=5)
         with pytest.raises(ConfigError):
             BesselEvalConfig(target_rel_tol=1e-3)
+
+
+def log_ibar_mpmath(nu, t):
+    """40-digit referee for log(exp(-t) I_nu(t))."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        t = mp.mpf(float(t))
+        return float(mp.log(mp.besseli(nu, t, maxterms=10**6)) - t)
+
+
+def assert_log_close(got, want):
+    # error of the log, normalised by max(1, |log ibar|)
+    assert abs(got - want) <= 3e-14 * max(1.0, abs(want)), (got, want)
+
+
+class TestDispatchReferee:
+    @pytest.mark.parametrize(
+        "nu", [0, 1, 3, 12, 30, 49, 50, 64, 100, 128, 200, 400, 1000]
+    )
+    def test_against_mpmath(self, nu):
+        ts = np.geomspace(1e-3, 3e5, 61)
+        for t, got in zip(ts, log_scaled_bessel_i(nu, ts)):
+            assert_log_close(got, log_ibar_mpmath(nu, t))
+
+    def test_switch_band(self):
+        # log ibar in (-720, -680): ive serves the nodes above the floor, the
+        # fallback regions those below it
+        sides = set()
+        for nu in (1, 3, 12, 50, 200, 1000, 3000):
+            ts = np.geomspace(1e-305, 1e4, 3000)
+            vals = log_scaled_bessel_i(nu, ts)
+            band = (vals > -720.0) & (vals < -680.0)
+            for t, got in zip(ts[band][::5], vals[band][::5]):
+                with np.errstate(divide="ignore"):
+                    sides.add(bool(np.log(ive(nu, t)) > -700.0))
+                assert_log_close(got, log_ibar_mpmath(nu, t))
+        assert sides == {False, True}
+
+    @pytest.mark.parametrize("t", [1e10, 1e15, 1e26, 1e300])
+    def test_half_integer_closed_forms_past_ive_range(self, t):
+        # I_{1/2} = sqrt(2/(pi t)) sinh t, I_{3/2} = sqrt(2/(pi t)) (cosh t -
+        # sinh t / t); at these t the exp(-2t) terms vanish
+        assert np.isnan(ive(0.5, t))
+        base = -0.5 * math.log(2.0 * math.pi * t)
+        assert_log_close(log_scaled_bessel_i(0.5, t), base)
+        assert_log_close(log_scaled_bessel_i(1.5, t), base + math.log1p(-1.0 / t))
+
+    def test_large_order_green_bessel_matches_closed_form(self):
+        # order 20000: left-tail nodes where ive underflows take the series
+        # and Debye (the series alone would need > 50 000 terms), the right
+        # tail past t ~ 1e9 takes Hankel
+        gb = green_bessel(GreenParams(1, 0.01, 1), [20000])
+        gc = green_d1_closed(0.01, 1, 20000)
+        assert gb.log_value == pytest.approx(gc.log_value, rel=1e-12)
 
 
 class TestBesselK:
