@@ -186,9 +186,9 @@ def _cmd_norm(args, parser):
         m = mass(args.d, args.a)
         nrm = a_norm(vec, args.d, args.a)
         u = u_scale(vec, args.d, args.a) if np.any(vec != 0.0) else None
-        l2 = float(np.linalg.norm(vec))
+        l2 = math.hypot(*vec)
         l1 = float(np.sum(np.abs(vec)))
-        ok = l2 - 1e-12 <= nrm <= l1 + 1e-12
+        ok = l2 * (1.0 - 1e-12) <= nrm <= l1 * (1.0 + 1e-12)
         out.add_row(
             header,
             [args.d, args.a, ",".join(repr(c) for c in xs), m, u, nrm, l2, l1, ok],

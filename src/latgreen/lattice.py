@@ -9,9 +9,12 @@
 ``green_fourier_oracle``
     Direct tensor-product quadrature of the defining Fourier integral over
     the torus (periodic trapezoid rule, spectrally accurate for positive
-    killing).  The massless case subtracts a smoothly windowed copy of the
-    singular part and integrates it in polar coordinates.  Restricted to
-    d <= 3; exists purely as a cross-check.
+    killing).  The weights are even in every axis, so they live on one
+    orthant of the grid; far points use a contour shifted into the complex
+    plane, summed on the part of the grid its symmetries leave.  The
+    massless case subtracts a smoothly windowed copy of the singular part
+    and integrates it in polar coordinates, with its own radial-rule error
+    term.  Restricted to d <= 3; exists purely as a cross-check.
 
 ``green_d1_closed``
     Exact finite sum for d = 1 and integer exponent.
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi, roots_legendre
+from scipy.special import gammaln, logsumexp, roots_jacobi, roots_legendre
 
 from .errors import AccuracyError, DivergenceError, DomainError, UnsupportedError
 from .norm import mass, u_scale
@@ -144,31 +147,39 @@ def green_bessel(
     return GreenValue.from_log(log_val, rel_err, "bessel_rep", cfg.abs_floor)
 
 
+# Largest exponent the d = 1 closed form accepts: its sum has q terms.
+_D1_CLOSED_MAX_Q = 10_000
+
+
 def green_d1_closed(a, q, x):
     """Exact d = 1 lattice Green function for integer exponent q >= 1.
 
-    Finite sum with binomial coefficients; exact up to floating point.  For
-    q = 1 it collapses to ``exp(-m|x|)/sinh(m)`` with ``m = arccosh(1+a^2)``.
+    Finite sum of q terms with binomial coefficients; exact up to floating
+    point.  For q = 1 it collapses to ``exp(-m|x|)/sinh(m)`` with
+    ``m = arccosh(1+a^2)``.  The terms are summed in log space, each binomial
+    as a running sum of the logs of its factor ratios, so neither large q
+    nor large |x| overflows.  q above ``_D1_CLOSED_MAX_Q`` is refused with
+    ``DomainError``.
     """
     if not np.isfinite(a) or a <= 0.0:
         raise DomainError("a must be finite and > 0")
     if not float(q).is_integer() or q < 1:
         raise UnsupportedError("closed form requires integer q >= 1")
+    if q > _D1_CLOSED_MAX_Q:
+        raise DomainError(f"closed form sums q terms; q must be <= {_D1_CLOSED_MAX_Q}")
     q = int(q)
     x = int(abs(np.asarray(x).item()))
     m = mass(1, a)
-    sinh_m = math.sinh(m)
-    if sinh_m == 0.0:
+    if m == 0.0:
         raise AccuracyError(f"a = {a!r} too small: a^2 underflows and the mass is 0")
-    ratio = math.exp(-m) / (2.0 * sinh_m)
-    total = 0.0
-    for ell in range(q):
-        total += (
-            math.comb(x + q - 1, q - 1 - ell)
-            * math.comb(q - 1 + ell, ell)
-            * ratio ** ell
-        )
-    log_val = -m * x - q * math.log(sinh_m) + math.log(total)
+    log_sinh = m + math.log(-math.expm1(-2.0 * m)) - math.log(2.0)
+    # term ell: C(x+q-1, q-1-ell) C(q-1+ell, ell) (exp(-m) / (2 sinh m))^ell
+    i = np.arange(1, q)
+    log_c1 = np.concatenate(([0.0], np.cumsum(np.log((x + q - i) / i))))
+    log_c2 = np.concatenate(([0.0], np.cumsum(np.log((q - 1 + i) / i))))
+    ell = np.arange(q)
+    log_terms = log_c1[::-1] + log_c2 + ell * (-m - math.log(2.0) - log_sinh)
+    log_val = -m * x - q * log_sinh + logsumexp(log_terms)
     return GreenValue.from_log(log_val, 0.0, "closed_d1")
 
 
@@ -184,8 +195,9 @@ _RADIAL_NODES = 90
 _SPHERE_POLAR = 60
 _SPHERE_AZIMUTH = 120
 # Largest n^d grid, as bytes of complex128, that the oracle may build.  The
-# acceptance grid needs at most 256^3 (256 MiB); one evaluation holds a few
-# such arrays at once.
+# arrays actually built (the orthant weights, the reduced shifted grid and
+# the full n/4 check grid) are smaller than this bound; the acceptance grid
+# needs at most n = 256 in d = 3.
 _FOURIER_GRID_BYTES = 2 ** 29
 
 
@@ -206,58 +218,95 @@ def _smooth_window(r):
     return out
 
 
+def _inv_power(z, q):
+    """``z ** -q`` for real or complex z with positive real part.
+
+    When q is a small integer or half-integer this is one reciprocal, a few
+    products and at most one square root, several times cheaper than the
+    general complex power and equal to it to rounding.
+    """
+    whole, frac = divmod(q, 1.0)
+    if frac not in (0.0, 0.5) or whole > 8:
+        return z ** -q
+    acc = np.sqrt(z) if frac else z
+    for _ in range(int(whole) - (0 if frac else 1)):
+        acc = acc * z
+    return 1.0 / acc
+
+
+def _half_range(n):
+    """Nodes ``2 pi j / n``, ``j = 0 .. n // 2``, and their multiplicities.
+
+    A function even in k sums over all n nodes as these nodes, each counted
+    for itself and its mirror ``n - j``: once at k = 0 and k = pi, twice
+    elsewhere.
+    """
+    j = np.arange(n // 2 + 1)
+    mult = np.full(j.size, 2.0)
+    mult[0] = 1.0
+    if n % 2 == 0:
+        mult[-1] = 1.0
+    return 2.0 * np.pi * j / n, mult
+
+
 def _sphere_rule(d):
-    """Quadrature nodes/weights for the unit sphere surface measure."""
+    """Unit-sphere surface rule folded onto the closed positive orthant.
+
+    The azimuth rule (a multiple of four points) and the even-order
+    Gauss-Legendre polar rule are closed under coordinate sign flips, and
+    ``cos(k . x)`` summed over the sign-flip orbit of a node is the orbit
+    size times ``prod_j cos(k_j x_j)``.  So only the nodes with nonnegative
+    coordinates are kept, each weighted by its orbit size.
+
+    Returns the node coordinates, one array per axis, and the weights, on a
+    (polar, azimuth) grid for d = 3 and an azimuth grid for d = 2; for d = 1
+    the sphere is the two points +-1.  The last coordinate of a d = 3 node
+    depends on its polar angle only, so it is kept with a broadcast azimuth
+    axis of length 1.
+    """
+    if d == 1:
+        return [np.ones(1)], np.full(1, 2.0)
+    quarter = _SPHERE_AZIMUTH // 4
+    theta = 2.0 * np.pi * np.arange(quarter + 1) / _SPHERE_AZIMUTH
+    w = np.full(quarter + 1, 4.0 * 2.0 * np.pi / _SPHERE_AZIMUTH)
+    w[[0, -1]] *= 0.5  # on an axis: orbit of 2, not 4
     if d == 2:
-        theta = 2.0 * np.pi * np.arange(_SPHERE_AZIMUTH) / _SPHERE_AZIMUTH
-        pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        w = np.full(_SPHERE_AZIMUTH, 2.0 * np.pi / _SPHERE_AZIMUTH)
-        return pts, w
+        return [np.cos(theta), np.sin(theta)], w
     c, wc = roots_legendre(_SPHERE_POLAR)
-    theta = 2.0 * np.pi * np.arange(_SPHERE_AZIMUTH) / _SPHERE_AZIMUTH
+    c, wc = c[c > 0.0], 2.0 * wc[c > 0.0]  # no node at c = 0: orbit of 2
     sin_phi = np.sqrt(1.0 - c ** 2)
-    pts = np.stack(
-        [
-            np.outer(sin_phi, np.cos(theta)).ravel(),
-            np.outer(sin_phi, np.sin(theta)).ravel(),
-            np.repeat(c, _SPHERE_AZIMUTH),
-        ],
-        axis=1,
-    )
-    w = np.repeat(wc, _SPHERE_AZIMUTH) * (2.0 * np.pi / _SPHERE_AZIMUTH)
-    return pts, w
+    coords = [np.outer(sin_phi, np.cos(theta)), np.outer(sin_phi, np.sin(theta)), c[:, None]]
+    return coords, np.outer(wc, w)
 
 
 @lru_cache(maxsize=8)
 def _torus_weight(d, a, q, n):
-    """Integrand weights on the n^d torus grid (flattened singular point = 0).
+    """Integrand weights on the ``(n//2 + 1)^d`` orthant of the n^d torus grid.
+
+    The weights are even in every axis, so the orthant of nodes ``2 pi j/n``
+    with ``j <= n/2`` determines them; `_half_range` gives the
+    multiplicities.  Also returns the mean weight over the whole grid, which
+    is the sum of the weights' magnitudes (they are positive) over n^d.
 
     For a = 0 the smooth window factor ``1 - w(|k|)`` is already applied; the
     windowed part is added back by `_window_polar_integral`.
     """
-    k = 2.0 * np.pi * np.arange(n) / n
-    cos_k = np.cos(k)
-    shape = [1] * d
-    dhat = np.zeros([n] * d)
-    for axis in range(d):
-        shape_axis = shape.copy()
-        shape_axis[axis] = n
-        dhat = dhat + cos_k.reshape(shape_axis)
-    denom = a * a + 1.0 - dhat / d
+    k, mult = _half_range(n)
+    axes = np.meshgrid(*[k] * d, indexing="ij", sparse=True)
+    denom = a * a + 1.0 - sum(np.cos(kj) for kj in axes) / d
     if a == 0.0:
-        k_wrapped = np.where(k > np.pi, k - 2.0 * np.pi, k)
-        r2 = np.zeros([n] * d)
-        for axis in range(d):
-            shape_axis = shape.copy()
-            shape_axis[axis] = n
-            r2 = r2 + (k_wrapped ** 2).reshape(shape_axis)
-        factor = 1.0 - _smooth_window(np.sqrt(r2))
+        factor = 1.0 - _smooth_window(np.sqrt(sum(kj ** 2 for kj in axes)))
         denom.flat[0] = 1.0  # excluded point; its window factor is exactly 0
-        return factor / denom ** q
-    return 1.0 / denom ** q
+        weight = factor * _inv_power(denom, q)
+    else:
+        weight = _inv_power(denom, q)
+    total = weight
+    for _ in range(d):
+        total = total @ mult
+    return weight, float(total) / n ** d
 
 
-def _torus_sum_shifted(d, a, q, x_abs, theta, n):
+def _torus_sum_shifted(d, a, q, x_abs, theta, n, check_imag=False):
     """Trapezoid sum along the shifted contour ``k -> k + i theta``.
 
     Shifting each axis into the complex plane extracts the exponential decay
@@ -267,74 +316,109 @@ def _torus_sum_shifted(d, a, q, x_abs, theta, n):
     ``mean_j cosh(theta_j) < 1 + a^2``, which the caller guarantees by
     undershooting the saddle shift.
 
-    Returns (S, imag_scale) with S complex; the value is
-    ``exp(-theta . x) * Re S``.
+    The sum runs on a reduced grid.  An axis with ``theta_j = 0`` (there
+    ``x_j = 0``) is even, so it folds onto its half range.  The summand is
+    Hermitian under ``k -> -k``, so the first remaining axis also runs on
+    its half range and only the real part is kept.  With ``check_imag`` the
+    full n^d complex sum is formed instead, so that its imaginary part can
+    be verified.
+
+    Returns (S, scale): the value is ``exp(-theta . x) * Re S``.  With
+    ``check_imag`` scale is the mean magnitude of the weights, else None.
     """
     k = 2.0 * np.pi * np.arange(n) / n
+    half, mult = _half_range(n)
+    hermitian = None if check_imag else next(j for j in range(d) if theta[j] != 0.0)
     shape = [1] * d
-    denom = np.zeros([n] * d, dtype=complex)
+    denom = a * a + 1.0
+    phases = []
     for axis in range(d):
+        nodes, m = k, 1.0
+        if not check_imag and (theta[axis] == 0.0 or axis == hermitian):
+            nodes, m = half, mult
         shape_axis = shape.copy()
-        shape_axis[axis] = n
-        part = np.cosh(theta[axis]) * np.cos(k) - 1j * np.sinh(theta[axis]) * np.sin(k)
-        denom = denom + part.reshape(shape_axis)
-    denom = (a * a + 1.0) - denom / d
-    weight = denom ** (-q)
-    scale = float(np.mean(np.abs(weight)))
+        shape_axis[axis] = nodes.size
+        part = np.cosh(theta[axis]) * np.cos(nodes) - 1j * np.sinh(theta[axis]) * np.sin(nodes)
+        denom = denom - part.reshape(shape_axis) / d
+        phases.append(m * np.exp(1j * nodes * x_abs[axis]))
+    weight = _inv_power(denom, q)
     acc = weight
-    for xj in reversed(list(x_abs)):
-        acc = acc @ np.exp(1j * k * xj)
-    return acc / n ** d, scale
+    for phase in reversed(phases):
+        acc = acc @ phase
+    s = acc / n ** d
+    if check_imag:
+        return s, float(np.mean(np.abs(weight)))
+    return s.real, None
 
 
 def _torus_sum(d, a, q, x, n, check_imag=False):
     """Periodic trapezoid sum of the defining integrand on an n^d grid.
 
     The weights are even in every axis, so the sum is real; it is computed by
-    contracting the weight tensor with per-axis cosine vectors.  With
-    ``check_imag`` the full complex-phase sum is formed instead and the
-    imaginary part returned for verification.
+    contracting the orthant weights with per-axis ``mult * cos(k x_j)``
+    vectors.  With ``check_imag`` the orthant is mirrored onto the full grid
+    and the complex-phase sum formed instead, so that its imaginary part can
+    be verified.
+
+    Returns (S, scale): S is complex with ``check_imag``, else real, and
+    scale is the mean weight over the whole grid.
     """
-    weight = _torus_weight(d, a, q, n)
-    k = 2.0 * np.pi * np.arange(n) / n
+    weight, scale = _torus_weight(d, a, q, n)
     if check_imag:
-        total = weight.astype(complex)
-        shape = [1] * d
-        for axis, xj in enumerate(x):
-            shape_axis = shape.copy()
-            shape_axis[axis] = n
-            total = total * np.exp(1j * k * xj).reshape(shape_axis)
-        s = total.sum() / n ** d
-        return float(s.real), float(abs(s.imag))
+        j = np.arange(n)
+        acc = weight[np.ix_(*[np.minimum(j, n - j)] * d)]
+        for xj in reversed(list(x)):
+            acc = acc @ np.exp(2j * np.pi * j * xj / n)
+        return complex(acc) / n ** d, scale
+    k, mult = _half_range(n)
     acc = weight
     for xj in reversed(list(x)):
-        acc = acc @ np.cos(k * xj)
-    return float(acc) / n ** d, 0.0
+        acc = acc @ (mult * np.cos(k * xj))
+    return float(acc) / n ** d, scale
 
 
 @lru_cache(maxsize=8)
-def _polar_geometry(d, q):
-    """Flattened polar nodes and combined weights for the windowed part.
+def _polar_geometry(d, q, n_radial):
+    """Polar nodes on the closed positive orthant and their combined weights.
 
-    The radial integrand is ``r^(d-1-2q)`` times a smooth function, handled
-    exactly by Gauss-Jacobi nodes with weight exponent ``d-1-2q``.
+    Returns the node coordinates, one array per axis, and the weights, each
+    with a leading radial axis followed by the directions of `_sphere_rule`
+    (the coordinates broadcast against the weights).  The radial integrand
+    is ``r^(d-1-2q)`` times a smooth function, handled by Gauss-Jacobi nodes
+    with weight exponent ``d-1-2q``.
     """
     gamma = d - 1.0 - 2.0 * q
-    nodes, wr = roots_jacobi(_RADIAL_NODES, 0.0, gamma)
+    nodes, wr = roots_jacobi(n_radial, 0.0, gamma)
     r = _WINDOW_OUTER * 0.5 * (nodes + 1.0)
     omega, wo = _sphere_rule(d)
-    kk = r[:, None, None] * omega[None, :, :]  # (nr, ns, d)
-    dhat = np.mean(np.cos(kk), axis=2)
-    ratio = (1.0 - dhat) / (r ** 2)[:, None]  # smooth, -> 1/(2d) at r=0
-    base = ratio ** (-q) * (_smooth_window(r) * wr)[:, None] * wo[None, :]
+    r = r.reshape((-1,) + (1,) * wo.ndim)
+    kk = [r * omega_j for omega_j in omega]
+    # 1 - mean_j cos(k_j) as a sum of squares: the nodes crowd towards r = 0,
+    # where the difference form cancels
+    ratio = sum(2.0 * np.sin(0.5 * kj) ** 2 for kj in kk) / (d * r ** 2)
+    base = ratio ** (-q) * _smooth_window(r) * wr.reshape(r.shape) * wo
     scale = (0.5 * _WINDOW_OUTER) ** (gamma + 1.0) / (2.0 * np.pi) ** d
-    return kk.reshape(-1, d), (scale * base).ravel()
+    return kk, scale * base
 
 
 def _window_polar_integral(d, q, x):
-    """Integral of the windowed singular part in polar coordinates."""
-    kk, base = _polar_geometry(d, q)
-    return float(base @ np.cos(kk @ np.asarray(x, dtype=float)))
+    """Integral of the windowed singular part in polar coordinates.
+
+    Returns (value, error).  The value takes ``2 * _RADIAL_NODES`` radial
+    nodes.  The window is smooth but not analytic, so the radial rule
+    converges more slowly than geometrically.  The error is the gap to
+    ``_RADIAL_NODES`` nodes, summed in magnitude over the sphere directions
+    the two rules share, so that gaps of opposite sign do not cancel.
+    """
+    radial = []
+    for n_radial in (2 * _RADIAL_NODES, _RADIAL_NODES):
+        kk, acc = _polar_geometry(d, q, n_radial)
+        for kj, xj in zip(kk, x):
+            if xj:
+                acc = acc * np.cos(kj * xj)
+        radial.append(acc.sum(axis=0))
+    fine, coarse = radial
+    return float(fine.sum()), float(np.abs(fine - coarse).sum())
 
 
 def green_fourier_oracle(p, x, grid_n=None, rel_tol=1e-8):
@@ -345,14 +429,28 @@ def green_fourier_oracle(p, x, grid_n=None, rel_tol=1e-8):
     oracle honest over the whole grid:
 
     * ``a = 0`` (requires ``d > 2q``): the singular part is removed with a
-      smooth radial window and integrated separately in polar coordinates;
+      smooth radial window and integrated separately in polar coordinates,
+      once per point, on the sign-flip orbits of one orthant of the polar
+      rule;
     * exponentially small values (``m_a |x|_a`` large): the contour is
       shifted to ``k + i theta`` with ``theta`` just short of the saddle
       shift, extracting the exponential decay analytically instead of
       letting it emerge from float cancellation.
 
-    The imaginary part of the trapezoid sum is verified to be below 1e-12
-    (relative to the summed weight magnitude) before being discarded.
+    Only the work the symmetries leave is done.  The periodic weights are
+    even in every axis, so they are built, cached and summed on the
+    ``(n/2+1)^d`` orthant.  The shifted sum folds the axes where
+    ``x_j = 0`` and uses the ``k -> -k`` Hermitian symmetry to halve one
+    more axis.  The trapezoid sum is formed at n/4, n/2 and n; at n/4 it is
+    formed on the full grid with complex phases, and its imaginary part is
+    verified to be below 1e-12 (relative to the mean weight magnitude)
+    before being discarded.
+
+    The error estimate is the sum of three terms: the trapezoid error
+    extrapolated from the three grid sizes, a rounding floor of a few eps
+    times the mean weight magnitude (not the value, which cancellation can
+    make far smaller), and for ``a = 0`` the radial-rule error of the polar
+    part (see `_window_polar_integral`).
 
     Parameters
     ----------
@@ -404,12 +502,16 @@ def green_fourier_oracle(p, x, grid_n=None, rel_tol=1e-8):
 
     def evaluate(n, check_imag=False):
         if theta is not None:
-            s, scale = _torus_sum_shifted(p.d, p.a, p.q, x_abs, theta, n)
-            return float(s.real), (float(abs(s.imag)), scale)
-        val, im = _torus_sum(p.d, p.a, p.q, x_abs, n, check_imag=check_imag)
-        if p.a == 0.0:
-            val += _window_polar_integral(p.d, p.q, x_abs)
-        return val, (im, 1.0)
+            return _torus_sum_shifted(
+                p.d, p.a, p.q, x_abs, theta, n, check_imag=check_imag
+            )
+        return _torus_sum(p.d, p.a, p.q, x_abs, n, check_imag=check_imag)
+
+    # The windowed singular part does not depend on n: integrate it once and
+    # add its own error to the trapezoid estimate.
+    polar, polar_err = (
+        _window_polar_integral(p.d, p.q, x_abs) if p.a == 0.0 else (0.0, 0.0)
+    )
 
     failure = None
     for n in sizes:
@@ -420,11 +522,12 @@ def green_fourier_oracle(p, x, grid_n=None, rel_tol=1e-8):
                 best=failure.best if failure else None,
                 est_error=failure.est_error if failure else float("nan"),
             )
-        coarse2, (im, scale) = evaluate(n // 4, check_imag=True)
-        if abs(im) > 1e-12 * (scale + abs(coarse2)):
+        s, scale = evaluate(n // 4, check_imag=True)
+        coarse2, im = s.real + polar, abs(s.imag)
+        if im > 1e-12 * (scale + abs(coarse2)):
             raise AccuracyError(f"imaginary part {im} too large", best=coarse2)
-        coarse1, _ = evaluate(n // 2)
-        val, _ = evaluate(n)
+        coarse1 = evaluate(n // 2)[0] + polar
+        val = evaluate(n)[0] + polar
         if val <= 0.0:
             failure = AccuracyError(
                 "Fourier sum returned a nonpositive value", best=val
@@ -433,14 +536,19 @@ def green_fourier_oracle(p, x, grid_n=None, rel_tol=1e-8):
         # The trapezoid error decays like exp(-c n), so the error at the
         # full grid is roughly the squared doubling-difference ratio applied
         # once more; the raw |val - coarse1| tracks the error of the *half*
-        # grid and wildly overestimates the full one.
+        # grid and wildly overestimates the full one.  The image terms behind
+        # that error carry an algebraic factor r^(q - (d+1)/2) as well, which
+        # makes the extrapolation short by up to 2^((d+1)/2 - q) < 4 for
+        # d <= 3.  Rounding is relative to the summed weight magnitudes, not
+        # to the value, which can be far smaller after cancellation.
         diff1 = abs(val - coarse1)
         diff0 = abs(coarse1 - coarse2)
-        floor = 4.0 * np.finfo(float).eps * abs(val)
+        floor = 4.0 * np.finfo(float).eps * max(scale, abs(val))
         if diff0 > 0.0 and diff1 < diff0:
-            est = max(diff1 * (diff1 / diff0) ** 2, floor)
+            est = max(4.0 * diff1 * (diff1 / diff0) ** 2, floor)
         else:
             est = max(diff1, floor)
+        est += polar_err
         if est <= rel_tol * abs(val):
             log_val = math.log(val) + log_prefactor
             value = math.exp(log_val)

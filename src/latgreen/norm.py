@@ -88,17 +88,21 @@ def u_scale_batch(points, d, a):
     Newton from the provable upper bracket ``sinh(m_a)/max_i |x_i|`` (the
     target function is convex and increasing, so the iteration decreases
     monotonically onto the root); the lower bracket ``sqrt(2d) a / |x|_2``
-    guards the safeguard clip.
+    guards the safeguard clip.  Each row is divided by its largest
+    coordinate first and the root rescaled after (``u(t x) = u(x)/|t|``), so
+    squares of huge or tiny coordinates neither overflow nor underflow.
     """
     if not np.isfinite(a) or a <= 0.0:
         raise DomainError("a must be finite and > 0")
     pts = np.abs(np.asarray(points, dtype=float))
     if np.any(np.all(pts == 0.0, axis=1)):
         raise DomainError("u is undefined at x = 0")
+    row_max = pts.max(axis=1)
+    pts = pts / row_max[:, None]
     da2 = d * a * a
     sinh_m = math.sinh(mass(d, a))
     lo = math.sqrt(2.0 * d) * a / np.linalg.norm(pts, axis=1)
-    u = sinh_m / pts.max(axis=1)
+    u = np.full(len(pts), sinh_m)
     x2 = pts * pts
 
     def residual(uv):
@@ -120,8 +124,10 @@ def u_scale_batch(points, d, a):
     else:
         res = np.abs(residual(u)) / (d * (1.0 + a * a))
         if not np.max(res) <= 1e-13:  # nan-safe
-            raise AccuracyError("implicit-scale Newton did not converge", best=u)
-    return u
+            raise AccuracyError(
+                "implicit-scale Newton did not converge", best=u / row_max
+            )
+    return u / row_max
 
 
 def u_scale(x, d, a):

@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 _BATCH = 20_000
+# Largest expected number of walk steps, n_walks (1 + a^2) / a^2, that one
+# ensemble may take.  The largest ensemble in the acceptance suite (d = 3,
+# a = 0.05, 10^5 walks) expects 4.0e7 steps and runs in a few seconds.
+_WALK_STEP_BUDGET = 5 * 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,9 @@ class WalkConfig:
     """Walk ensemble parameters.
 
     The per-step death probability is ``a^2/(1+a^2)``; ``max_box`` is the
-    tally window half-width in the sup norm.
+    tally window half-width in the sup norm.  An ensemble whose expected
+    number of steps ``n_walks (1+a^2)/a^2`` exceeds ``_WALK_STEP_BUDGET`` is
+    refused with ``ConfigError``.
     """
 
     d: int
@@ -72,6 +78,13 @@ class WalkConfig:
             raise ConfigError("max_box must be >= 0")
         if (2 * self.max_box + 1) ** self.d * _BATCH >= 2 ** 63:
             raise ConfigError("max_box too large: tally keys would overflow int64")
+        a2 = self.a * self.a
+        steps = self.n_walks * (1.0 + 1.0 / a2) if a2 > 0.0 else math.inf
+        if steps > _WALK_STEP_BUDGET:
+            raise ConfigError(
+                f"{self.n_walks} walks at a = {self.a!r} expect {steps:.3g} steps, "
+                f"over the budget of {_WALK_STEP_BUDGET:.3g}"
+            )
 
     @property
     def death_probability(self):

@@ -197,6 +197,18 @@ class TestNorm:
         assert out == ""
         assert "too large" in err
 
+    @pytest.mark.parametrize("x, scale", [("1e200,1,0", 1e200), ("1e-200,0,0", 1e-200)])
+    def test_extreme_point_is_homogeneous(self, capsys, x, scale):
+        code, out, err = run_cli(capsys, "norm", "--d", "3", "--a", "0.5", "--x", x)
+        assert code == 0
+        assert err == ""
+        header, body = parse_csv(out)
+        row = dict(zip(header, body[0]))
+        # |t e_1|_a = |t|; the 1 in the second coordinate is lost in rounding
+        assert float(row["norm"]) == pytest.approx(scale, rel=1e-12)
+        assert float(row["l2"]) == pytest.approx(scale, rel=1e-12)
+        assert row["sandwich_ok"] == "True"
+
 
 class TestBall:
     def test_axis_points_and_sandwich(self, capsys):
@@ -428,6 +440,62 @@ class TestRecordRoundTrip:
         assert obj["params"]["d"] == 1
 
 
+class TestEvalGuards:
+    def test_closed_d1_large_exponent(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval", "--d", "1", "--a", "1", "--q", "1000",
+            "--x", "5", "--method", "closed-d1",
+        )
+        assert code == 0
+        _, body = parse_csv(out)
+        rec = OutputRecord.from_csv_row(body[0])
+        assert math.isfinite(rec.log_value) and rec.value > 0.0
+
+    def test_closed_d1_exponent_cap_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval", "--d", "1", "--a", "1", "--q", "1e300",
+            "--x", "0", "--method", "closed-d1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_mc_step_budget_exits_2(self, capsys):
+        # 2000 walks at a = 0.003 expect about 2.2e8 steps
+        code, out, err = run_cli(
+            capsys, "eval", "--d", "1", "--a", "0.003", "--q", "1",
+            "--x", "1", "--method", "mc", "--walks", "2000",
+        )
+        assert code == 2
+        assert out == ""
+        assert "budget" in err and err.count("\n") == 1
+
+    def test_fourier_d1_massless(self, capsys):
+        # the polar part of d = 1 runs on the two-point sphere
+        code, out, _ = run_cli(
+            capsys, "eval", "--d", "1", "--a", "0", "--q", "0.25",
+            "--x", "3", "--method", "fourier",
+        )
+        assert code == 0
+        _, body = parse_csv(out)
+        rec = OutputRecord.from_csv_row(body[0])
+        lib = green_bessel(GreenParams(1, 0.0, 0.25), [3])
+        assert rec.value == pytest.approx(lib.value, rel=1e-9)
+
+
+class TestImport:
+    def test_no_fft_import(self):
+        import subprocess
+        import sys
+
+        code = "import sys, latgreen; print('scipy.fft' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
+
 class TestEnvironment:
     def test_rel_tol_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("LATGREEN_REL_TOL", "1e-8")
@@ -549,7 +617,7 @@ _NUMBER_TEXT = ["0", "1e-300", "1e300", "nan", "inf", "-inf", "-1", "0.3", "1", 
 
 @st.composite
 def _argv(draw):
-    """argv for eval (bessel, closed-d1), norm, asy and ball; small inputs."""
+    """argv for eval (bessel, closed-d1, mc), norm, asy and ball; small inputs."""
     command = draw(st.sampled_from(["eval", "norm", "asy", "ball"]))
     d = draw(st.integers(min_value=0, max_value=4))
     a = draw(st.sampled_from(_NUMBER_TEXT))
@@ -564,9 +632,16 @@ def _argv(draw):
         return ["norm", "--d", str(d), "--a", a, "--x", x]
     q = draw(st.sampled_from(["0", "0.5", "1", "2", "nan", "inf", "-1"]))
     if command == "eval":
-        method = draw(st.sampled_from(["bessel", "closed-d1"]))
-        return ["eval", "--d", str(d), "--a", a, "--q", q, "--x", x,
-                "--method", method]
+        method = draw(st.sampled_from(["bessel", "closed-d1", "mc"]))
+        argv = ["eval", "--d", str(d), "--a", a, "--q", q, "--x", x, "--method", method]
+        if method == "closed-d1":
+            big_q = draw(st.sampled_from([q, "1000", "10000", "10001", "1e300"]))
+            argv[argv.index("--q") + 1] = big_q
+        if method == "mc":
+            # tiny a: 200 walks at a = 0.001 expect 2e8 steps, over the budget
+            argv[argv.index("--a") + 1] = draw(st.sampled_from([a, "0.001", "0.02", "1e-300"]))
+            argv += ["--walks", str(draw(st.integers(min_value=-1, max_value=200)))]
+        return argv
     n_list = ",".join(draw(st.lists(st.sampled_from(["0", "1", "2", "-1"]),
                                     min_size=1, max_size=2)))
     mode = draw(st.sampled_from([["--a", a], ["--s", a]]))

@@ -146,6 +146,38 @@ class TestClosedFormD1:
         with pytest.raises(DomainError):
             green_d1_closed(0.0, 1, 0)
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 7, 40])
+    @pytest.mark.parametrize("a", [0.01, 0.5, 2.0])
+    def test_matches_exact_binomial_sum(self, q, a):
+        # reference: exact integer binomials, summed in floating point
+        m = mass(1, a)
+        sh = math.sinh(m)
+        ratio = math.exp(-m) / (2.0 * sh)
+        for x in (0, 3, 20, 20000):
+            total = sum(
+                math.comb(x + q - 1, q - 1 - ell) * math.comb(q - 1 + ell, ell)
+                * ratio**ell
+                for ell in range(q)
+            )
+            want = -m * x - q * math.log(sh) + math.log(total)
+            got = green_d1_closed(a, q, x).log_value
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-14), x
+
+    def test_large_exponent(self):
+        # the binomials of q = 1000 overflow a float
+        gc = green_d1_closed(1.0, 1000, 5)
+        gb = green_bessel(GreenParams(1, 1.0, 1000.0), [5])
+        assert math.isfinite(gc.log_value)
+        assert gc.log_value == pytest.approx(gb.log_value, rel=1e-12)
+
+    def test_exponent_cap(self):
+        from latgreen.lattice import _D1_CLOSED_MAX_Q
+
+        assert math.isfinite(green_d1_closed(1.0, _D1_CLOSED_MAX_Q, 0).log_value)
+        for q in (_D1_CLOSED_MAX_Q + 1, 1e300):
+            with pytest.raises(DomainError):
+                green_d1_closed(1.0, q, 0)
+
 
 class TestFourierOracle:
     def test_origin_d2(self):
@@ -242,6 +274,119 @@ class TestFourierBudget:
         assert np.isfinite(capped.value.best) and capped.value.best > 0.0
         assert capped.value.est_error > 0.0
         assert capped.value.best != full.value.best
+
+
+def _full_grid_weights(d, a, q, n):
+    """Reference: the integrand weights on the whole n^d torus grid."""
+    import latgreen.lattice as lat
+
+    k = 2.0 * np.pi * np.arange(n) / n
+    axes = np.meshgrid(*[k] * d, indexing="ij")
+    denom = a * a + 1.0 - sum(np.cos(kj) for kj in axes) / d
+    if a > 0.0:
+        return denom ** -q
+    wrapped = [np.where(kj > np.pi, kj - 2.0 * np.pi, kj) for kj in axes]
+    factor = 1.0 - lat._smooth_window(np.sqrt(sum(kj**2 for kj in wrapped)))
+    denom.flat[0] = 1.0
+    return factor / denom**q
+
+
+class TestFourierReducedGrids:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("a", [0.0, 0.2, 1.0])
+    def test_orthant_matches_full_grid(self, d, a):
+        import latgreen.lattice as lat
+
+        n, q = 64, 1.0
+        k = 2.0 * np.pi * np.arange(n) / n
+        weight = _full_grid_weights(d, a, q, n)
+        for x in ((0, 0, 0), (1, 0, 0), (2, 1, 1), (3, 2, 0)):
+            x = np.array(x[:d])
+            phase = np.ones([1] * d)
+            for axis, xj in enumerate(x):
+                shape = [1] * d
+                shape[axis] = n
+                phase = phase * np.cos(k * xj).reshape(shape)
+            want = float(np.sum(weight * phase)) / n**d
+            got, scale = lat._torus_sum(d, a, q, x, n)
+            assert got == pytest.approx(want, rel=1e-14), x
+            assert scale == pytest.approx(weight.mean(), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "d, x", [(1, (7,)), (2, (5, 0)), (2, (4, 3)), (3, (6, 0, 0)), (3, (5, 2, 0)), (3, (3, 3, 3))]
+    )
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.7])
+    def test_folded_shifted_sum_matches_full_grid(self, d, x, q):
+        import latgreen.lattice as lat
+
+        x = np.array(x)
+        theta = np.where(x > 0, 0.4, 0.0)
+        folded, _ = lat._torus_sum_shifted(d, 1.0, q, x, theta, 32)
+        full, _ = lat._torus_sum_shifted(d, 1.0, q, x, theta, 32, check_imag=True)
+        assert folded == pytest.approx(full.real, rel=1e-13)
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.0, 3.0, 8.5, 2.7, 9.0])
+    def test_inverse_power(self, q):
+        import latgreen.lattice as lat
+
+        rng = np.random.default_rng(3)
+        z = 0.1 + rng.random(50) + 1j * (rng.random(50) - 0.5)
+        assert np.allclose(lat._inv_power(z, q), z**-q, rtol=1e-14, atol=0.0)
+        assert np.allclose(lat._inv_power(z.real, q), z.real**-q, rtol=1e-14, atol=0.0)
+
+
+class TestFourierErrorHonesty:
+    def test_grid_deviation_within_estimates(self):
+        # the acceptance-02 grid: each route's est_error must cover the gap
+        bad = []
+        for d in (1, 2, 3):
+            pts = sorted_box_points(d, 5)
+            for q in (0.5, 1.0, 2.0):
+                for a in (0.0, 0.2, 1.0):
+                    if a == 0.0 and d <= 2.0 * q:
+                        continue
+                    p = GreenParams(d, a, q)
+                    for x in pts:
+                        gb = green_bessel(p, x)
+                        gf = green_fourier_oracle(p, x)
+                        dev = abs(gf.log_value - gb.log_value)
+                        est = gf.est_error / gf.value + gb.est_error / gb.value
+                        if dev > est:
+                            bad.append((d, q, a, x, dev, est))
+        assert bad == []
+
+    @pytest.mark.parametrize(
+        "d,a,q,x", [(2, 0.0, 0.5, (3, 4)), (3, 0.2, 0.5, (4, 4, 4))]
+    )
+    def test_against_multiprecision_quadrature(self, d, a, q, x):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+
+        def integrand(t):
+            acc = t ** (q - 1) * mp.exp(-a * a * t)
+            for xj in x:
+                acc *= mp.besseli(abs(xj), t / mp.mpf(d)) * mp.exp(-t / mp.mpf(d))
+            return acc
+
+        want = mp.log(mp.quad(integrand, [0, 1, 10, 100, mp.inf]) / mp.gamma(q))
+        gf = green_fourier_oracle(GreenParams(d, a, q), list(x))
+        err = abs(gf.log_value - float(want))
+        assert err <= gf.est_error / gf.value
+        assert err <= 1e-11
+
+    def test_one_dimensional_massless(self):
+        # d = 1 needs q < 1/2; the polar part runs on the two-point sphere
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        q, x = 0.25, 3
+        nodes = [mp.pi * j / (2 * x) for j in range(2 * x + 1)]
+        want = mp.log(
+            mp.quad(lambda k: mp.cos(k * x) * (2 * mp.sin(k / 2) ** 2) ** -q, nodes) / mp.pi
+        )
+        gf = green_fourier_oracle(GreenParams(1, 0.0, q), [x])
+        err = abs(gf.log_value - float(want))
+        assert err <= gf.est_error / gf.value
+        assert err <= 1e-10
 
 
 class TestCrossOracle:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latgreen import (
-    AccuracyError,
     DomainError,
     a_norm,
     a_norm_batch,
@@ -109,10 +108,15 @@ class TestUScale:
             u_scale([1.0, 0.0], 2, -1.0)
 
     @pytest.mark.parametrize("point", [[1e200, 1.0, 0.0], [1e-200, 0.0, 0.0]])
-    def test_overflowing_point_raises_not_nan(self, point):
-        # x_i^2 u^2 overflows, so Newton works on nan; that must not escape
-        with np.errstate(all="ignore"), pytest.raises(AccuracyError):
-            u_scale_batch(np.array([point]), 3, 0.5)
+    def test_extreme_point_is_homogeneous(self, point):
+        # x_i^2 u^2 of the raw coordinates overflows or underflows; the
+        # solve works on the row scaled to a largest coordinate of 1
+        x = np.array(point)
+        s = x.max()
+        u = u_scale_batch(np.array([point]), 3, 0.5)[0]
+        assert np.isfinite(u) and u > 0.0
+        assert u * s == pytest.approx(u_scale(x / s, 3, 0.5), rel=1e-15)
+        assert np.isfinite(a_norm(x, 3, 0.5))
 
     def test_huge_killing(self):
         # stays finite and accurate far into the l1 regime

@@ -116,6 +116,26 @@ class TestConfig:
             WalkConfig(d=1, a=1.0, n_walks=10, seed=0, max_box=edge + 1)
 
 
+    def test_step_budget(self):
+        from latgreen.walk import _WALK_STEP_BUDGET
+
+        # the largest ensemble in use: about 4.0e7 expected steps
+        WalkConfig(d=3, a=0.05, n_walks=100_000, seed=0, max_box=30)
+        # about 2.2e8 expected steps: more than 20 s of walking
+        with pytest.raises(ConfigError, match="budget"):
+            WalkConfig(d=1, a=0.003, n_walks=2_000, seed=0, max_box=3)
+        # a^2 underflows to 0: the walks would never die
+        with pytest.raises(ConfigError, match="budget"):
+            WalkConfig(d=1, a=1e-300, n_walks=1, seed=0, max_box=3)
+        # a^2 overflows: every walk dies at once
+        WalkConfig(d=1, a=1e300, n_walks=10, seed=0, max_box=3)
+        a = 0.5
+        at_budget = int(_WALK_STEP_BUDGET * a * a / (1.0 + a * a))
+        WalkConfig(d=1, a=a, n_walks=at_budget, seed=0, max_box=1)
+        with pytest.raises(ConfigError):
+            WalkConfig(d=1, a=a, n_walks=at_budget + 1, seed=0, max_box=1)
+
+
 class TestRunKilledWalks:
     def test_seed_determinism(self):
         cfg = WalkConfig(d=2, a=0.8, n_walks=30_000, seed=99, max_box=2)
