@@ -88,6 +88,24 @@ class TestUScale:
                 lhs = np.mean(np.sqrt(1.0 + pts**2 * u[:, None] ** 2), axis=1)
                 assert np.max(np.abs(lhs - (1.0 + a * a)) / (1.0 + a * a)) < 1e-13
 
+    def test_within_ulps_of_multiprecision_root(self):
+        # the per-row rescaling must not cost ordinary points accuracy
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        rng = np.random.default_rng(7)
+        for d in (1, 2, 3):
+            pts = rng.integers(-30, 31, size=(12, d)).astype(float)
+            pts = pts[np.any(pts != 0.0, axis=1)]
+            for a in (0.05, 0.5, 7.0):
+                for x, u in zip(pts, u_scale_batch(pts, d, a)):
+                    target = 1 + mp.mpf(a) ** 2
+                    ref = float(mp.findroot(
+                        lambda v: sum(mp.sqrt(1 + mp.mpf(xi) ** 2 * v**2) for xi in x) / d
+                        - target,
+                        mp.mpf(u),
+                    ))
+                    assert abs(u - ref) <= 2 * np.spacing(ref), (d, a, x)
+
     @given(
         lam=st.floats(min_value=1e-3, max_value=1e3),
         a=st.floats(min_value=1e-2, max_value=1e2),

@@ -115,7 +115,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             WalkConfig(d=1, a=1.0, n_walks=10, seed=0, max_box=edge + 1)
 
-
     def test_step_budget(self):
         from latgreen.walk import _WALK_STEP_BUDGET
 
