@@ -296,7 +296,7 @@ def uniform_bound_rhs(d, q, a, x, kappa1, kappa):
     """
     if not (0.0 < kappa < 1.0):
         raise DomainError("kappa must lie in (0, 1)")
-    if kappa1 <= 0.0:
+    if not kappa1 > 0.0:  # nan-safe
         raise DomainError("kappa1 must be positive")
     if int(d) != d or d <= 2:
         raise DomainError("d must be an integer > 2")
@@ -333,6 +333,8 @@ def uniform_bound_check(d, q, kappa, kappa1, a_values, box, cfg=DEFAULT_QUADRATU
     Exploits permutation and sign symmetry: only sorted nonnegative points
     are evaluated.
     """
+    if int(d) != d or d < 1:
+        raise DomainError("d must be an integer >= 1")
     if box < 1:
         raise DomainError("box must be >= 1")
     tasks = [

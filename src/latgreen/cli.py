@@ -59,6 +59,11 @@ def _floats(text):
     return tuple(float(c) for c in text.split(","))
 
 
+def _y_range(text):
+    lo, hi = (float(c) for c in text.split(":"))
+    return lo, hi
+
+
 def _ints(text):
     return tuple(int(c) for c in text.split(","))
 
@@ -354,7 +359,7 @@ def _build_parser():
     p_gbar.add_argument("--d", type=int, required=True)
     p_gbar.add_argument("--x", type=_floats, required=True)
     p_gbar.add_argument("--a-list", type=_floats, required=True)
-    p_gbar.add_argument("--y-range", type=lambda s: tuple(float(c) for c in s.split(":")), required=True)
+    p_gbar.add_argument("--y-range", type=_y_range, required=True)
     p_gbar.add_argument("--y-steps", type=int, required=True)
     common(p_gbar)
 

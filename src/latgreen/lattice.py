@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, roots_jacobi, roots_legendre
+from scipy.special import gammaln, roots_jacobi, roots_legendre
 
 from .errors import AccuracyError, DivergenceError, DomainError, UnsupportedError
 from .norm import mass, u_scale
-from .quadrature import DEFAULT_QUADRATURE, log_integral_semi_infinite
+from .quadrature import DEFAULT_QUADRATURE, _log_sum_exp, log_integral_semi_infinite
 from .special import DEFAULT_BESSEL_CONFIG, log_scaled_bessel_i
 
 __all__ = [
@@ -65,13 +65,17 @@ class GreenParams:
             )
 
 
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
+
 @dataclass(frozen=True)
 class GreenValue:
     """A Green-function evaluation with its log-space twin and error estimate.
 
     ``value`` is ``exp(log_value)`` (0.0 once the log drops below the
-    representable floor); ``est_error`` is an absolute error estimate on the
-    same scale as ``value``.
+    representable floor; ``AccuracyError`` once it overflows a float);
+    ``est_error`` is an absolute error estimate on the same scale as
+    ``value``.
     """
 
     value: float
@@ -82,6 +86,10 @@ class GreenValue:
     @classmethod
     def from_log(cls, log_value, rel_error, method, abs_floor=1e-300):
         log_value = float(log_value)
+        if log_value > _LOG_FLOAT_MAX:
+            raise AccuracyError(
+                f"value exp({log_value:.6g}) overflows a float", best=log_value
+            )
         value = math.exp(log_value) if log_value > math.log(abs_floor) else 0.0
         return cls(
             value=value,
@@ -170,8 +178,6 @@ def green_d1_closed(a, q, x):
     q = int(q)
     x = int(abs(np.asarray(x).item()))
     m = mass(1, a)
-    if m == 0.0:
-        raise AccuracyError(f"a = {a!r} too small: a^2 underflows and the mass is 0")
     log_sinh = m + math.log(-math.expm1(-2.0 * m)) - math.log(2.0)
     # term ell: C(x+q-1, q-1-ell) C(q-1+ell, ell) (exp(-m) / (2 sinh m))^ell
     i = np.arange(1, q)
@@ -179,7 +185,7 @@ def green_d1_closed(a, q, x):
     log_c2 = np.concatenate(([0.0], np.cumsum(np.log((q - 1 + i) / i))))
     ell = np.arange(q)
     log_terms = log_c1[::-1] + log_c2 + ell * (-m - math.log(2.0) - log_sinh)
-    log_val = -m * x - q * log_sinh + logsumexp(log_terms)
+    log_val = -m * x - q * log_sinh + _log_sum_exp(log_terms)
     return GreenValue.from_log(log_val, 0.0, "closed_d1")
 
 

@@ -55,20 +55,27 @@ class NormContext:
 def mass(d, a):
     """Inverse correlation length ``arccosh(1 + d a^2)``.
 
-    Zero exactly at ``a = 0`` and strictly increasing in ``a``; evaluated via
-    ``log1p`` so the small-``a`` behaviour ``sqrt(2d) a`` keeps full relative
-    precision.  Raises ``DomainError`` once ``d a^2`` is too large for the
-    formula (about 1e154) to stay finite.
+    Zero exactly at ``a = 0`` and strictly increasing in ``a``; evaluated as
+    ``2 asinh(a sqrt(d/2))``, which squares nothing, so the small-``a``
+    behaviour ``sqrt(2d) a`` keeps full relative precision down to the
+    smallest ``a``.  Raises ``DomainError`` once ``d a^2`` is too large (about
+    1e154) for ``cosh`` and ``sinh`` of the mass to stay finite.
     """
     if int(d) != d or d < 1:
         raise DomainError("d must be an integer >= 1")
     if not np.isfinite(a) or a < 0.0:
         raise DomainError("a must be finite and >= 0")
     eps = d * a * a
-    m = math.log1p(eps + math.sqrt(eps * (2.0 + eps)))
-    if not math.isfinite(m):
-        raise DomainError(f"a = {a!r} too large: the mass overflows for d = {d}")
-    return m
+    if not math.isfinite(eps * (2.0 + eps)):
+        raise DomainError(
+            f"a = {a!r} too large: cosh of the mass overflows for d = {d}"
+        )
+    return 2.0 * math.asinh(a * math.sqrt(0.5 * d))
+
+
+# Newton stops once every step is within a few ulps of u, the size of the
+# rounding noise in the residual, or no longer shrinks.
+_NEWTON_STOP = 4.0 * np.finfo(float).eps
 
 
 def _as_points(x, d):
@@ -100,6 +107,9 @@ def u_scale_batch(points, d, a):
     row_max = pts.max(axis=1)
     pts = pts / row_max[:, None]
     da2 = d * a * a
+    if da2 < np.finfo(float).tiny:
+        # the residual works on squares of u ~ a: they would underflow
+        raise AccuracyError(f"a = {a!r} too small: d a^2 underflows")
     sinh_m = math.sinh(mass(d, a))
     lo = math.sqrt(2.0 * d) * a / np.linalg.norm(pts, axis=1)
     u = np.full(len(pts), sinh_m)
@@ -110,18 +120,21 @@ def u_scale_batch(points, d, a):
         y = x2 * uv[:, None] ** 2
         return np.sum(y / (1.0 + np.sqrt(1.0 + y)), axis=1) - da2
 
+    prev = np.full(len(pts), np.inf)
     for _ in range(80):
         y = x2 * u[:, None] ** 2
         root = np.sqrt(1.0 + y)
         f = np.sum(y / (1.0 + root), axis=1) - da2
         fp = np.sum(x2 * u[:, None] / root, axis=1)
-        step = f / fp
-        u_new = np.maximum(u - step, lo)
-        done = np.abs(step) <= 1e-16 * u
-        u = u_new
-        if np.all(done):
+        newton = f / fp
+        step = np.abs(newton)
+        converged = step <= _NEWTON_STOP * u
+        u = np.maximum(u - newton, lo)
+        # a step that no longer shrinks is rounding noise: stop, then verify
+        if np.all(converged | (step >= prev)):
             break
-    else:
+        prev = step
+    if not np.all(converged):
         res = np.abs(residual(u)) / (d * (1.0 + a * a))
         if not np.max(res) <= 1e-13:  # nan-safe
             raise AccuracyError(

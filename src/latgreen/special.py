@@ -26,19 +26,20 @@ works in log space and covers every ``(nu, t)`` on its own:
 For ``nu < 50`` the series also spans the gap where neither expansion is
 accurate yet.
 
-Also here: the modified Bessel function of the second kind ``K_alpha`` via its
-symmetric integral representation (double-exponential quadrature, valid for
-all real orders), and the exponent/amplitude pair ``psi`` / ``uniform_l`` of
-the large-order scaling form for ``ibar``.
+Also here: the modified Bessel function of the second kind ``K_alpha`` from
+scipy's scaled ``kve``, with its symmetric integral representation
+(double-exponential quadrature, valid for all real orders) wherever ``kve``
+overflows or underflows, and the exponent/amplitude pair
+``psi`` / ``uniform_l`` of the large-order scaling form for ``ibar``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ive, logsumexp
+from scipy.special import gammaln, ive, kve
 
 from .errors import AccuracyError, ConfigError, DomainError
-from .quadrature import QuadratureConfig, log_integral_semi_infinite
+from .quadrature import QuadratureConfig, _log_sum_exp, log_integral_semi_infinite
 
 __all__ = [
     "BesselEvalConfig",
@@ -64,7 +65,8 @@ class BesselEvalConfig:
     fallback regions of :func:`log_scaled_bessel_i` (nodes where ``ive``
     underflows or is out of range) use the power series; the series also
     covers the moderate-order gap where neither asymptotic expansion is
-    accurate yet.
+    accurate yet.  ``target_rel_tol`` governs only the quadrature fallback of
+    :func:`log_bessel_k`, where ``kve`` overflows or underflows.
     """
 
     series_term_cap: int = 50_000
@@ -194,7 +196,7 @@ def _series_log_ibar(nu, t, config):
         ts = t[start : start + chunk]
         log_half_t = np.log(0.5 * ts)
         terms = (2.0 * k[:, None] + nu) * log_half_t[None, :] - log_fact[:, None]
-        out[start : start + chunk] = logsumexp(terms, axis=0) - ts
+        out[start : start + chunk] = _log_sum_exp(terms, axis=0) - ts
     return out
 
 
@@ -321,11 +323,17 @@ def scaled_bessel_i(nu, t, config=DEFAULT_BESSEL_CONFIG):
 def log_bessel_k(alpha, z, config=DEFAULT_BESSEL_CONFIG):
     """log of the modified Bessel function of the second kind.
 
-    Uses the symmetric integral
+    Takes ``log(kve(|alpha|, z)) - z`` from scipy's exponentially scaled
+    ``kve`` (Amos, Algorithm 644) wherever that is finite and positive.  Where
+    ``kve`` overflows or underflows (``z`` small against ``|alpha|``) it falls
+    back to the symmetric integral
     ``K_alpha(z) = (1/2) (z/2)^alpha  int_0^inf t^(-alpha-1) e^(-t - z^2/4t) dt``
     (valid for every real ``alpha``, with ``K_{-alpha} = K_alpha``), evaluated
-    by double-exponential quadrature.  No recurrences are involved, so
-    accuracy is uniform in the order.
+    by double-exponential quadrature.  No recurrences are involved, so the
+    fallback's accuracy is uniform in the order; ``config.target_rel_tol``
+    governs only that fallback.  Past ``kve``'s range (``z`` above about 1e9,
+    where it returns nan) the quadrature fails or drifts as well, so that
+    raises ``AccuracyError``.
     """
     if not np.isfinite(alpha):
         raise DomainError("alpha must be finite")
@@ -333,6 +341,11 @@ def log_bessel_k(alpha, z, config=DEFAULT_BESSEL_CONFIG):
     if not np.isfinite(z) or z <= 0.0:
         raise DomainError("z must be positive")
     alpha = float(alpha)
+    k = kve(abs(alpha), z)
+    if 0.0 < k < np.inf:
+        return np.log(k) - z
+    if np.isnan(k):
+        raise AccuracyError(f"z = {z!r} is past the range of kve")
     quarter_z2 = 0.25 * z * z
 
     def log_f(t):

@@ -648,17 +648,87 @@ def _argv(draw):
     return ["asy", "--d", str(d), "--q", q, "--x", x, *mode, "--n-list", n_list]
 
 
+@st.composite
+def _argv_sweeps(draw):
+    """argv for gbar, bound (box <= 3) and eval --method fourier (d <= 2)."""
+    command = draw(st.sampled_from(["gbar", "bound", "fourier"]))
+    number = st.sampled_from(_NUMBER_TEXT)
+    if command == "bound":
+        a_grid = ",".join(draw(st.lists(number, min_size=1, max_size=2)))
+        return [
+            "bound", "--d", str(draw(st.integers(min_value=-1, max_value=4))),
+            "--q", draw(st.sampled_from(["0", "1", "2", "-1"])),
+            "--kappa", draw(number), "--kappa1", draw(number),
+            "--a-grid", a_grid, "--box", str(draw(st.integers(min_value=-1, max_value=3))),
+        ]
+    if command == "gbar":
+        d = draw(st.integers(min_value=0, max_value=4))
+        coord = st.sampled_from(["0", "1", "2", "-3", "0.5", "nan", "inf", "1e300"])
+        x = ",".join(draw(st.lists(coord, min_size=max(d, 1), max_size=max(d, 1) + 1)))
+        return [
+            "gbar", "--d", str(d), "--x", x,
+            "--a-list", ",".join(draw(st.lists(number, min_size=1, max_size=2))),
+            "--y-range", draw(st.sampled_from(
+                ["0.5:2", "2:0.5", "0:1", "nan:1", "1e-300:1", "0.1:1e300", "1", "0.5:1:2"]
+            )),
+            "--y-steps", draw(st.sampled_from(["-1", "0", "2", "5", "40"])),
+        ]
+    d = draw(st.sampled_from([0, 1, 2, 4]))
+    coord = st.integers(min_value=-3, max_value=3).map(str)
+    x = ",".join(draw(st.lists(coord, min_size=max(d, 1), max_size=max(d, 1) + 1)))
+    q = draw(st.sampled_from(["0", "0.5", "1", "2", "nan", "inf", "-1"]))
+    return ["eval", "--d", str(d), "--a", draw(number), "--q", q, "--x", x,
+            "--method", "fourier"]
+
+
+def _exit_code_and_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with np.errstate(all="ignore"):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    return code, out.getvalue()
+
+
+def _assert_in_contract(argv):
+    code, out = _exit_code_and_stdout(argv)
+    assert code in (0, 1, 2, 3, 64), argv
+    if code == 0:
+        assert "nan" not in out, argv
+
+
 class TestErrorContractFuzz:
     @given(argv=_argv())
     @settings(max_examples=150, deadline=None)
     def test_exit_code_in_contract(self, argv):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            with np.errstate(all="ignore"):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:  # argparse usage errors
-                    code = exc.code
-        assert code in (0, 1, 2, 3, 64), argv
-        if code == 0:
-            assert "nan" not in out.getvalue(), argv
+        _assert_in_contract(argv)
+
+    @given(argv=_argv_sweeps())
+    @settings(max_examples=150, deadline=None)
+    def test_sweeps_and_fourier_exit_code_in_contract(self, argv):
+        _assert_in_contract(argv)
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            # a malformed range escaped as an unpacking ValueError
+            (["gbar", "--d", "1", "--x", "1", "--a-list", "1",
+              "--y-range", "0.5:1:2", "--y-steps", "5"], 64),
+            # no dimension left nothing to check: nan on stdout, exit 0
+            (["bound", "--d", "0", "--q", "1", "--kappa", "0.3", "--kappa1", "1",
+              "--a-grid", "0.3", "--box", "1"], 2),
+            # a negative dimension recursed without end
+            (["bound", "--d", "-1", "--q", "1", "--kappa", "0.3", "--kappa1", "1",
+              "--a-grid", "0.3", "--box", "1"], 2),
+            # a nan constant made every ratio nan: nan on stdout, exit 0
+            (["bound", "--d", "3", "--q", "1", "--kappa", "0.3", "--kappa1", "nan",
+              "--a-grid", "0.3", "--box", "1"], 2),
+            # the mass of a = 1e-300 is finite, so the q = 2 value overflows
+            (["eval", "--d", "1", "--a", "1e-300", "--q", "2", "--x", "2",
+              "--method", "closed-d1"], 3),
+        ],
+    )
+    def test_found_cases(self, argv, want):
+        assert _exit_code_and_stdout(argv)[0] == want

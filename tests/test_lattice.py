@@ -104,6 +104,13 @@ class TestGreenBessel:
 
 
 class TestClosedFormD1:
+    def test_overflowing_value_is_refused(self):
+        # the mass of a = 1e-300 is 1.4e-300, so G ~ m^-3 lies past exp(709.8)
+        with pytest.raises(AccuracyError, match="overflows"):
+            green_d1_closed(1e-300, 2, 2)
+        with pytest.raises(AccuracyError, match="overflows"):
+            green_bessel(GreenParams(1, 1e-60, 4), [0])
+
     def test_first_exponent(self):
         gv = green_d1_closed(1.0, 1, 0)
         assert gv.value == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-14)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latgreen.norm as norm_mod
 from latgreen import (
+    AccuracyError,
     DomainError,
     a_norm,
     a_norm_batch,
@@ -53,6 +55,20 @@ class TestMass:
             mass(2, -0.1)
         with pytest.raises(DomainError):
             mass(0, 1.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("a", [1e-300, 1e-160, 1e-8, 0.05, 1.0, 1e3, 1e150])
+    def test_within_ulps_of_multiprecision_mass(self, d, a):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        if d * a * a * (2.0 + d * a * a) == math.inf:
+            # cosh and sinh of the mass would overflow: refused, not rounded
+            with pytest.raises(DomainError, match="too large"):
+                mass(d, a)
+            return
+        eps = d * mp.mpf(a) ** 2
+        ref = float(mp.log1p(eps + mp.sqrt(eps * (2 + eps))))  # arccosh(1 + eps)
+        assert abs(mass(d, a) - ref) <= 2 * np.spacing(ref)
 
     @pytest.mark.parametrize("d, a", [(3, 1e300), (3, 1e154), (1, 1e150)])
     def test_overflowing_killing(self, d, a):
@@ -106,6 +122,23 @@ class TestUScale:
                     ))
                     assert abs(u - ref) <= 2 * np.spacing(ref), (d, a, x)
 
+    def test_newton_stops_at_rounding_level(self, monkeypatch):
+        # a stop below half an ulp let this point run all 80 Newton steps;
+        # each step takes one np.sqrt
+        calls = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def sqrt(self, x):
+                calls.append(1)
+                return np.sqrt(x)
+
+        monkeypatch.setattr(norm_mod, "np", CountingNumpy())
+        u_scale([1.0, 0.0, 4.0], 3, 1.0)
+        assert len(calls) <= 10
+
     @given(
         lam=st.floats(min_value=1e-3, max_value=1e3),
         a=st.floats(min_value=1e-2, max_value=1e2),
@@ -135,6 +168,12 @@ class TestUScale:
         assert np.isfinite(u) and u > 0.0
         assert u * s == pytest.approx(u_scale(x / s, 3, 0.5), rel=1e-15)
         assert np.isfinite(a_norm(x, 3, 0.5))
+
+    def test_underflowing_killing_is_refused(self):
+        # d a^2 underflows: Newton would stop at once on a zero residual and
+        # return the upper bracket sinh(m_a) / max|x|, not the root
+        with pytest.raises(AccuracyError, match="too small"):
+            u_scale([1.0, 2.0], 2, 1e-300)
 
     def test_huge_killing(self):
         # stays finite and accurate far into the l1 regime

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
-from scipy.special import gammaln, kv
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import gammaln, kv, logsumexp
 
 import latgreen.lattice as lattice_mod
 from latgreen import AccuracyError, GreenParams, green_bessel, log_bessel_k
-from latgreen.quadrature import QuadratureConfig, log_integral_semi_infinite
+from latgreen.quadrature import QuadratureConfig, _log_sum_exp, log_integral_semi_infinite
 
 
 class CountingIntegrand:
@@ -123,3 +126,56 @@ def test_underflowing_killing_peaks_at_cut_off(d, q, x):
     # integrands are still rising at t = exp(700)
     with pytest.raises(AccuracyError, match="cut-off"):
         green_bessel(GreenParams(d, 1e-300, q), x)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all((got == want) | (np.isnan(got) & np.isnan(want))), (got, want)
+
+
+_LOGS = st.one_of(
+    st.floats(min_value=-800.0, max_value=800.0),
+    st.sampled_from([-np.inf, 0.0, 1.0, -745.5]),  # ties and padding
+)
+
+
+@given(a=arrays(np.float64, st.integers(min_value=1, max_value=600), elements=_LOGS))
+@settings(max_examples=200, deadline=None)
+def test_log_sum_exp_is_scipy_bit_for_bit(a):
+    assert_same_bits(_log_sum_exp(a), logsumexp(a))
+
+
+@given(
+    a=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 30), st.integers(1, 40)),
+        elements=_LOGS,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_log_sum_exp_axis0_is_scipy_bit_for_bit(a):
+    assert_same_bits(_log_sum_exp(a, axis=0), logsumexp(a, axis=0))
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [0.0],
+        [3.0, 3.0, 3.0],
+        [-np.inf, -np.inf],
+        [-np.inf, 2.0, -np.inf],
+        [np.inf, 1.0],
+        [np.inf, -np.inf],
+        [np.inf, np.inf],
+        [np.nan, 1.0],
+        [-np.inf, np.nan],
+        np.r_[np.linspace(-50.0, 20.0, 513), np.full(100, -np.inf)],
+    ],
+)
+def test_log_sum_exp_edge_cases(a):
+    a = np.asarray(a, dtype=float)
+    assert_same_bits(_log_sum_exp(a), logsumexp(a))
+    # the same column twice, summed down axis 0
+    cols = np.stack([a, a[::-1]], axis=1)
+    assert_same_bits(_log_sum_exp(cols, axis=0), logsumexp(cols, axis=0))

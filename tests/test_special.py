@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ive
 
+import latgreen.special as special_mod
 from latgreen import (
+    AccuracyError,
     BesselEvalConfig,
     ConfigError,
     DomainError,
@@ -27,6 +29,7 @@ from latgreen import (
     scaled_bessel_i,
     uniform_l,
 )
+from latgreen.quadrature import log_integral_semi_infinite
 
 
 def ibar_quadrature(nu, t):
@@ -248,6 +251,40 @@ class TestBesselK:
         assert log_bessel_k(0.5, 800.0) == pytest.approx(
             0.5 * math.log(math.pi / 1600.0) - 800.0, rel=1e-10
         )
+
+    @pytest.mark.parametrize(
+        "alpha, z, fallback",
+        [
+            (0.5, 1.0, False),
+            (0.25, 1e-3, False),
+            (2.5, 300.0, False),
+            (-1.0, 20.0, False),
+            (200.0, 1e-3, True),  # kve overflows
+            (-300.0, 1.0, True),
+        ],
+    )
+    def test_against_mpmath(self, alpha, z, fallback, monkeypatch):
+        # kve where it is finite and positive, the DE quadrature elsewhere
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        calls = []
+
+        def spy(log_f, cfg):
+            calls.append(cfg)
+            return log_integral_semi_infinite(log_f, cfg)
+
+        monkeypatch.setattr(special_mod, "log_integral_semi_infinite", spy)
+        got = log_bessel_k(alpha, z)
+        assert bool(calls) == fallback
+        want = float(mp.log(mp.besselk(alpha, z)))
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("z", [3e9, 1e12, 1e15])
+    def test_past_kve_range_is_refused(self, z):
+        # the quadrature fails there too, and from 1e15 on it returned a log
+        # off by 3.7e8 instead of failing
+        with pytest.raises(AccuracyError, match="range of kve"):
+            log_bessel_k(0.5, z)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
