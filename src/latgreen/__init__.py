@@ -63,8 +63,6 @@ from .norm import (
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .records import OutputRecord
 from .special import (
-    DEFAULT_BESSEL_CONFIG,
-    BesselEvalConfig,
     bessel_k,
     log_bessel_k,
     log_scaled_bessel_i,
@@ -92,11 +90,9 @@ __all__ = [
     "REGIME_II",
     "REGIME_III",
     "REGIME_IV",
-    "BesselEvalConfig",
     "BoundReport",
     "ConfigError",
     "ContinuumParams",
-    "DEFAULT_BESSEL_CONFIG",
     "DEFAULT_QUADRATURE",
     "DivergenceError",
     "DomainError",

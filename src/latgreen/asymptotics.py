@@ -24,7 +24,6 @@ from .continuum import ContinuumParams, log_green_continuum
 from .errors import DomainError
 from .lattice import GreenParams, green_bessel
 from .norm import a_norm, mass, norm_context
-from .quadrature import DEFAULT_QUADRATURE
 from .special import log_scaled_bessel_i, psi
 
 __all__ = [
@@ -327,7 +326,7 @@ class BoundReport:
     n_checked: int
 
 
-def uniform_bound_check(d, q, kappa, kappa1, a_values, box, cfg=DEFAULT_QUADRATURE):
+def uniform_bound_check(d, q, kappa, kappa1, a_values, box):
     """Sweep ``a`` and the box and report the max of value / bound.
 
     Exploits permutation and sign symmetry: only sorted nonnegative points
@@ -344,7 +343,7 @@ def uniform_bound_check(d, q, kappa, kappa1, a_values, box, cfg=DEFAULT_QUADRATU
     worst = -math.inf
     arg = (float("nan"), ())
     for a, x in tasks:
-        val = green_bessel(GreenParams(d, a, q), x, cfg)
+        val = green_bessel(GreenParams(d, a, q), x)
         ratio = val.value / uniform_bound_rhs(d, q, a, x, kappa1, kappa)
         if ratio > worst:
             worst = ratio
@@ -374,14 +373,14 @@ def _sorted_box_points(d, box):
     return pts
 
 
-def classify_regime(d, q, a, x, n, t_hi=10.0, t_lo=0.1):
+def classify_regime(d, q, a, x, n):
     """Heuristic regime label for documentation of sweeps.
 
     The regime formulas are asymptotic; this label never replaces the raw
-    estimates, it only annotates output rows.  Defaults: regime I when the
-    scaled distance ``a n |x|_a`` is large and the killing is not vanishing
-    (``a^3 n`` above ``t_lo``), II when the scaled distance is large but
-    ``a^3 n`` small, III/IV otherwise by whether killing is present.
+    estimates, it only annotates output rows.  Regime I when the scaled
+    distance ``a n |x|_a`` is at least 10 and the killing is not vanishing
+    (``a^3 n`` above 0.1), II when it is at least 10 but ``a^3 n`` is at
+    most 0.1, III/IV otherwise by whether killing is present.
     """
     if a < 0.0:
         raise DomainError("a must be >= 0")
@@ -389,6 +388,6 @@ def classify_regime(d, q, a, x, n, t_hi=10.0, t_lo=0.1):
     if a == 0.0:
         return REGIME_IV
     scaled = a * n * a_norm(xv, d, a)
-    if scaled >= t_hi:
-        return REGIME_I if a ** 3 * n > t_lo else REGIME_II
+    if scaled >= 10.0:
+        return REGIME_I if a ** 3 * n > 0.1 else REGIME_II
     return REGIME_III

@@ -17,6 +17,7 @@ error, 3 accuracy error, 64 usage error.  Output is CSV (with a leading
 
 import argparse
 import csv
+import json
 import math
 import os
 import sys
@@ -35,7 +36,7 @@ from .errors import AccuracyError, DomainError, LatticeGreenError
 from .lattice import GreenParams, green_bessel, green_d1_closed, green_fourier_oracle
 from .norm import a_norm, mass, u_scale, unit_ball_rows
 from .quadrature import QuadratureConfig
-from .records import CSV_SCHEMA_COMMENT, OutputRecord
+from .records import CSV_SCHEMA_COMMENT, OutputRecord, _fmt
 from .walk import WalkConfig, estimate_green
 
 EXIT_OK = 0
@@ -98,16 +99,18 @@ class _Output:
         self.rows.append(row)
 
     def emit(self):
-        stream = open(self.path, "w", newline="") if self.path else sys.stdout
+        try:
+            stream = open(self.path, "w", newline="") if self.path else sys.stdout
+        except OSError as exc:
+            print(f"latgreen: error: --out: {exc}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
         try:
             if self.json:
                 for row in self.rows:
                     if isinstance(row, OutputRecord):
                         stream.write(row.to_json() + "\n")
                     else:
-                        import json as _json
-
-                        stream.write(_json.dumps(dict(zip(self.header, row))) + "\n")
+                        stream.write(json.dumps(dict(zip(self.header, row))) + "\n")
             else:
                 stream.write(CSV_SCHEMA_COMMENT + "\n")
                 writer = csv.writer(stream, lineterminator="\n")
@@ -116,9 +119,7 @@ class _Output:
                     if isinstance(row, OutputRecord):
                         writer.writerow(row.to_csv_row())
                     else:
-                        writer.writerow(
-                            [repr(v) if isinstance(v, float) else ("" if v is None else str(v)) for v in row]
-                        )
+                        writer.writerow([_fmt(v) for v in row])
         finally:
             if self.path:
                 stream.close()

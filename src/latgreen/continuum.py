@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DivergenceError, DomainError
-from .quadrature import DEFAULT_QUADRATURE, log_integral_semi_infinite
+from .quadrature import log_integral_semi_infinite
 from .special import log_bessel_k
 
 __all__ = [
@@ -122,7 +122,7 @@ def green_continuum(p, x):
     return math.exp(log_green_continuum(p, x))
 
 
-def green_continuum_time_integral(p, x, cfg=DEFAULT_QUADRATURE):
+def green_continuum_time_integral(p, x):
     """Cross-validation route: heat-kernel time integral.
 
     Evaluates ``int_0^inf t^(q-1) exp(-s^2 t) p_t(x) dt / Gamma(q)`` with the
@@ -142,5 +142,5 @@ def green_continuum_time_integral(p, x, cfg=DEFAULT_QUADRATURE):
     def log_f(t):
         return (q - 1.0) * np.log(t) - s2 * t + c - half_d * np.log(t) - dr2 / t - lg_q
 
-    log_val, _ = log_integral_semi_infinite(log_f, cfg)
+    log_val, _ = log_integral_semi_infinite(log_f)
     return math.exp(log_val)

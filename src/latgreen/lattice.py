@@ -30,7 +30,7 @@ from scipy.special import gammaln, roots_jacobi, roots_legendre
 from .errors import AccuracyError, DivergenceError, DomainError, UnsupportedError
 from .norm import mass, u_scale
 from .quadrature import DEFAULT_QUADRATURE, _log_sum_exp, log_integral_semi_infinite
-from .special import DEFAULT_BESSEL_CONFIG, log_scaled_bessel_i
+from .special import log_scaled_bessel_i
 
 __all__ = [
     "GreenParams",
@@ -66,14 +66,15 @@ class GreenParams:
 
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_LOG_VALUE_FLOOR = math.log(1e-300)
 
 
 @dataclass(frozen=True)
 class GreenValue:
     """A Green-function evaluation with its log-space twin and error estimate.
 
-    ``value`` is ``exp(log_value)`` (0.0 once the log drops below the
-    representable floor; ``AccuracyError`` once it overflows a float);
+    ``value`` is ``exp(log_value)`` (0.0 below ``_LOG_VALUE_FLOOR``, the log
+    of 1e-300; ``AccuracyError`` once it overflows a float);
     ``est_error`` is an absolute error estimate on the same scale as
     ``value``.
     """
@@ -84,13 +85,13 @@ class GreenValue:
     method: str
 
     @classmethod
-    def from_log(cls, log_value, rel_error, method, abs_floor=1e-300):
+    def from_log(cls, log_value, rel_error, method):
         log_value = float(log_value)
         if log_value > _LOG_FLOAT_MAX:
             raise AccuracyError(
                 f"value exp({log_value:.6g}) overflows a float", best=log_value
             )
-        value = math.exp(log_value) if log_value > math.log(abs_floor) else 0.0
+        value = math.exp(log_value) if log_value > _LOG_VALUE_FLOOR else 0.0
         return cls(
             value=value,
             log_value=log_value,
@@ -110,12 +111,7 @@ def _check_lattice_point(x, d):
     return np.abs(x.astype(np.int64))
 
 
-def green_bessel(
-    p,
-    x,
-    cfg=DEFAULT_QUADRATURE,
-    bessel_config=DEFAULT_BESSEL_CONFIG,
-):
+def green_bessel(p, x, cfg=DEFAULT_QUADRATURE):
     """Lattice Green function via the scaled-Bessel integral representation.
 
     The integrand ``t^(q-1) exp(-a^2 t) prod_j ibar(|x_j|, t/d) / Gamma(q)``
@@ -148,11 +144,11 @@ def green_bessel(
         acc = qm1 * np.log(t) - a2 * t - lg_q
         td = t / d
         for nu, c in counts.items():
-            acc = acc + c * log_scaled_bessel_i(nu, td, bessel_config)
+            acc = acc + c * log_scaled_bessel_i(nu, td)
         return acc
 
     log_val, rel_err = log_integral_semi_infinite(log_f, cfg)
-    return GreenValue.from_log(log_val, rel_err, "bessel_rep", cfg.abs_floor)
+    return GreenValue.from_log(log_val, rel_err, "bessel_rep")
 
 
 # Largest exponent the d = 1 closed form accepts: its sum has q terms.
@@ -205,6 +201,8 @@ _SPHERE_AZIMUTH = 120
 # the full n/4 check grid) are smaller than this bound; the acceptance grid
 # needs at most n = 256 in d = 3.
 _FOURIER_GRID_BYTES = 2 ** 29
+# Relative error the oracle's estimate must meet.
+_FOURIER_REL_TOL = 1e-8
 
 
 def _smooth_window(r):
@@ -427,7 +425,7 @@ def _window_polar_integral(d, q, x):
     return float(fine.sum()), float(np.abs(fine - coarse).sum())
 
 
-def green_fourier_oracle(p, x, grid_n=None, rel_tol=1e-8):
+def green_fourier_oracle(p, x):
     """Lattice Green function by direct Fourier quadrature (oracle route).
 
     For ``a > 0`` the integrand is smooth and periodic, so the trapezoid sum
@@ -456,18 +454,19 @@ def green_fourier_oracle(p, x, grid_n=None, rel_tol=1e-8):
     extrapolated from the three grid sizes, a rounding floor of a few eps
     times the mean weight magnitude (not the value, which cancellation can
     make far smaller), and for ``a = 0`` the radial-rule error of the polar
-    part (see `_window_polar_integral`).
+    part (see `_window_polar_integral`).  It must meet ``_FOURIER_REL_TOL``
+    (1e-8) relative to the value, else ``AccuracyError`` is raised.
+
+    The grid size is set from the decay rate for ``a > 0`` (fixed per d for
+    ``a = 0``); the shifted-contour path retries once at double size if the
+    estimate misses the tolerance.  A grid over ``_FOURIER_GRID_BYTES`` is
+    never built: the oracle raises ``AccuracyError`` instead, carrying the
+    previous size's ``best`` and ``est_error`` if one was tried.
 
     Parameters
     ----------
     p : GreenParams
     x : sequence of int
-    grid_n : int, optional
-        Nodes per axis (>= 64).  Default sizes the grid from the decay rate;
-        the shifted-contour path retries once at double size if the error
-        estimate misses ``rel_tol``.  A grid over the byte budget is never
-        built: the oracle raises ``AccuracyError`` instead, carrying the
-        previous size's ``best`` and ``est_error`` if one was tried.
 
     Returns
     -------
@@ -491,20 +490,12 @@ def green_fourier_oracle(p, x, grid_n=None, rel_tol=1e-8):
                 delta = min(0.5, 3.0 / exponent)
                 theta = (1.0 - delta) * saddle
                 log_prefactor = -float(theta @ x_abs)
-
-    if grid_n is None:
-        if p.a > 0.0:
-            m = mass(p.d, p.a)
-            # image terms decay like exp(-m (n - 2 |x|_inf))
-            need = (-math.log(max(rel_tol, 1e-15)) + 8.0) / m + 2.0 * np.max(x_abs)
-            auto = int(2 ** math.ceil(math.log2(max(need, 64.0))))
-            sizes = (auto, 2 * auto) if theta is not None else (auto,)
-        else:
-            sizes = ({1: 4096, 2: 1024, 3: 192}[p.d],)
+        # image terms decay like exp(-m (n - 2 |x|_inf))
+        need = (-math.log(max(_FOURIER_REL_TOL, 1e-15)) + 8.0) / m + 2.0 * np.max(x_abs)
+        auto = int(2 ** math.ceil(math.log2(max(need, 64.0))))
+        sizes = (auto, 2 * auto) if theta is not None else (auto,)
     else:
-        if grid_n < 64:
-            raise DomainError("grid_n must be >= 64")
-        sizes = (int(grid_n),)
+        sizes = ({1: 4096, 2: 1024, 3: 192}[p.d],)
 
     def evaluate(n, check_imag=False):
         if theta is not None:
@@ -555,7 +546,7 @@ def green_fourier_oracle(p, x, grid_n=None, rel_tol=1e-8):
         else:
             est = max(diff1, floor)
         est += polar_err
-        if est <= rel_tol * abs(val):
+        if est <= _FOURIER_REL_TOL * abs(val):
             log_val = math.log(val) + log_prefactor
             value = math.exp(log_val)
             return GreenValue(

@@ -43,25 +43,22 @@ _TRANSFORMS = ("log_substitution", "double_exponential")
 # per node is negligible against rel_tol >= 1e-13 even for ~1e4 nodes.
 _TAIL_DROP = 60.0
 
+# Largest trapezoid level; a refinement past it raises AccuracyError.
+_MAX_NODES = 200_000
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Knobs for the semi-infinite log-space trapezoid rule."""
 
     transform: str = "log_substitution"
-    max_nodes: int = 200_000
     rel_tol: float = 1e-11
-    abs_floor: float = 1e-300
 
     def __post_init__(self):
         if self.transform not in _TRANSFORMS:
             raise ConfigError(f"unknown transform {self.transform!r}")
         if not (0.0 < self.rel_tol <= 1e-6):
             raise ConfigError("rel_tol must lie in (0, 1e-6]")
-        if self.max_nodes < 64:
-            raise ConfigError("max_nodes must be >= 64")
-        if self.abs_floor < 0.0:
-            raise ConfigError("abs_floor must be nonnegative")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -172,9 +169,9 @@ def log_integral_semi_infinite(log_integrand, config=DEFAULT_QUADRATURE):
     best = None
     while True:
         n = int(np.floor(span / h)) + 1
-        if n > config.max_nodes:
+        if n > _MAX_NODES:
             raise AccuracyError(
-                f"quadrature needs more than {config.max_nodes} nodes",
+                f"quadrature needs more than {_MAX_NODES} nodes",
                 best=best,
                 est_error=est,
             )

@@ -16,10 +16,10 @@ which costs well under a microsecond per node.  That value is kept wherever it
 lies above ``_IVE_LOG_FLOOR``.  The other nodes go to a region dispatch that
 works in log space and covers every ``(nu, t)`` on its own:
 
-* where ``ive`` underflows (``t`` small against ``nu``),
-  the power series takes ``t <= max(crossover, nu)`` and the large-order
-  uniform (Debye) expansion, with the standard polynomials ``u_k`` through
-  fifth order, takes orders ``nu >= 50`` above that;
+* where ``ive`` underflows (``t`` small against ``nu``), the power series
+  takes ``t <= max(_SERIES_CROSSOVER, nu)`` (at most ``_SERIES_TERM_CAP``
+  terms) and the large-order uniform (Debye) expansion, with the standard
+  polynomials ``u_k`` through fifth order, takes orders ``nu >= 50`` above it;
 * where ``ive`` returns nan (past ``t ~ 1e9``), the large-argument (Hankel)
   expansion takes ``t >= nu**2 / 2`` and Debye the larger orders.
 
@@ -28,22 +28,19 @@ accurate yet.
 
 Also here: the modified Bessel function of the second kind ``K_alpha`` from
 scipy's scaled ``kve``, with its symmetric integral representation
-(double-exponential quadrature, valid for all real orders) wherever ``kve``
-overflows or underflows, and the exponent/amplitude pair
-``psi`` / ``uniform_l`` of the large-order scaling form for ``ibar``.
+(double-exponential quadrature to ``_K_FALLBACK_QUADRATURE``, valid for all
+real orders) wherever ``kve`` overflows or underflows, and the
+exponent/amplitude pair ``psi`` / ``uniform_l`` of the large-order scaling
+form for ``ibar``.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, ive, kve
 
-from .errors import AccuracyError, ConfigError, DomainError
+from .errors import AccuracyError, DomainError
 from .quadrature import QuadratureConfig, _log_sum_exp, log_integral_semi_infinite
 
 __all__ = [
-    "BesselEvalConfig",
-    "DEFAULT_BESSEL_CONFIG",
     "scaled_bessel_i",
     "log_scaled_bessel_i",
     "bessel_k",
@@ -57,32 +54,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BesselEvalConfig:
-    """Evaluation knobs for the scaled-Bessel routines.
+# The fallback regions of log_scaled_bessel_i use the power series up to
+# t = max(_SERIES_CROSSOVER, nu), and refuse one of more than _SERIES_TERM_CAP
+# terms with AccuracyError.
+_SERIES_CROSSOVER = 30.0
+_SERIES_TERM_CAP = 50_000
 
-    ``asymptotic_crossover`` is the argument threshold below which the
-    fallback regions of :func:`log_scaled_bessel_i` (nodes where ``ive``
-    underflows or is out of range) use the power series; the series also
-    covers the moderate-order gap where neither asymptotic expansion is
-    accurate yet.  ``target_rel_tol`` governs only the quadrature fallback of
-    :func:`log_bessel_k`, where ``kve`` overflows or underflows.
-    """
-
-    series_term_cap: int = 50_000
-    asymptotic_crossover: float = 30.0
-    target_rel_tol: float = 1e-13
-
-    def __post_init__(self):
-        if self.series_term_cap < 10:
-            raise ConfigError("series_term_cap must be >= 10")
-        if not (0.0 < self.target_rel_tol <= 1e-6):
-            raise ConfigError("target_rel_tol must lie in (0, 1e-6]")
-        if self.asymptotic_crossover <= 0.0:
-            raise ConfigError("asymptotic_crossover must be positive")
-
-
-DEFAULT_BESSEL_CONFIG = BesselEvalConfig()
+# Quadrature of the log_bessel_k fallback (where kve overflows or underflows).
+_K_FALLBACK_QUADRATURE = QuadratureConfig(transform="double_exponential", rel_tol=1e-13)
 
 # log(ive) is kept above this.  ive returns 0 below about exp(-700.9), the
 # underflow limit of the Amos code, so the floor keeps only values clear of
@@ -177,17 +156,14 @@ def _check_positive(x, name):
     return x
 
 
-def _series_log_ibar(nu, t, config):
+def _series_log_ibar(nu, t):
     """Log-space power series for ibar; exact for any (nu, t), cost O(t+nu)."""
     out = np.empty_like(t)
     tmax = float(t.max())
     k_peak = 0.5 * (np.hypot(nu, tmax) - nu)
     n_terms = int(k_peak + 12.0 * np.sqrt(k_peak + 1.0) + 25.0)
-    if n_terms > config.series_term_cap:
-        raise AccuracyError(
-            f"series needs {n_terms} terms, above the cap "
-            f"{config.series_term_cap}"
-        )
+    if n_terms > _SERIES_TERM_CAP:
+        raise AccuracyError(f"series needs {n_terms} terms, above the cap {_SERIES_TERM_CAP}")
     k = np.arange(n_terms, dtype=float)
     log_fact = gammaln(k + 1.0) + gammaln(k + nu + 1.0)
     # Chunk to keep the (n_terms, len(t)) matrix small.
@@ -237,16 +213,16 @@ def _uniform_log_ibar(nu, t):
     )
 
 
-def log_scaled_bessel_i(nu, t, config=DEFAULT_BESSEL_CONFIG):
+def log_scaled_bessel_i(nu, t):
     """log of ``exp(-t) * I_nu(t)`` without overflow or underflow.
 
     Each node takes ``log(ive(nu, t))`` from scipy where that lies above
     ``_IVE_LOG_FLOOR``.  Nodes where ``ive`` underflows (``t`` small against
     ``nu``) or returns nan (``t`` past ~1e9) fall back to the log-space
-    regions: the power series for ``t <= max(config.asymptotic_crossover,
-    nu)``, the Hankel expansion for ``t >= nu**2 / 2``, and the Debye
-    expansion in between for ``nu >= 50`` (the series again for smaller
-    orders).
+    regions: the power series for ``t <= max(_SERIES_CROSSOVER, nu)`` (at
+    most ``_SERIES_TERM_CAP`` terms), the Hankel expansion for
+    ``t >= nu**2 / 2``, and the Debye expansion in between for ``nu >= 50``
+    (the series again for smaller orders).
 
     Parameters
     ----------
@@ -255,8 +231,6 @@ def log_scaled_bessel_i(nu, t, config=DEFAULT_BESSEL_CONFIG):
         consumes; real orders are accepted).
     t : float or ndarray
         Argument(s), >= 0.
-    config : BesselEvalConfig
-        Governs the fallback regions only.
 
     Returns
     -------
@@ -286,15 +260,15 @@ def log_scaled_bessel_i(nu, t, config=DEFAULT_BESSEL_CONFIG):
     # nan compares false, so out-of-range nodes join the underflowed ones
     rest = ~(res > _IVE_LOG_FLOOR)
     if np.any(rest):
-        res[rest] = _region_log_ibar(nu, tv[rest], config)
+        res[rest] = _region_log_ibar(nu, tv[rest])
     out[live] = res
     return float(out[0]) if scalar else out
 
 
-def _region_log_ibar(nu, tv, config):
+def _region_log_ibar(nu, tv):
     """Series/Hankel/Debye dispatch for positive arguments ``tv``."""
     res = np.empty_like(tv)
-    series_gate = max(config.asymptotic_crossover, nu)
+    series_gate = max(_SERIES_CROSSOVER, nu)
     m_series = tv <= series_gate
     m_hankel = (~m_series) & (tv >= 0.5 * nu * nu)
     if nu >= _UNIFORM_MIN_ORDER:
@@ -303,7 +277,7 @@ def _region_log_ibar(nu, tv, config):
         m_uniform = np.zeros_like(m_series)
         m_series = m_series | ~(m_series | m_hankel)
     if np.any(m_series):
-        res[m_series] = _series_log_ibar(nu, tv[m_series], config)
+        res[m_series] = _series_log_ibar(nu, tv[m_series])
     if np.any(m_hankel):
         res[m_hankel] = _hankel_log_ibar(nu, tv[m_hankel])
     if np.any(m_uniform):
@@ -311,16 +285,16 @@ def _region_log_ibar(nu, tv, config):
     return res
 
 
-def scaled_bessel_i(nu, t, config=DEFAULT_BESSEL_CONFIG):
+def scaled_bessel_i(nu, t):
     """``exp(-t) * I_nu(t)``, always in [0, 1].
 
     See :func:`log_scaled_bessel_i` for the evaluation strategy; this is its
     exponential and underflows to 0.0 once the log drops below ~-745.
     """
-    return np.exp(log_scaled_bessel_i(nu, t, config))
+    return np.exp(log_scaled_bessel_i(nu, t))
 
 
-def log_bessel_k(alpha, z, config=DEFAULT_BESSEL_CONFIG):
+def log_bessel_k(alpha, z):
     """log of the modified Bessel function of the second kind.
 
     Takes ``log(kve(|alpha|, z)) - z`` from scipy's exponentially scaled
@@ -329,11 +303,11 @@ def log_bessel_k(alpha, z, config=DEFAULT_BESSEL_CONFIG):
     back to the symmetric integral
     ``K_alpha(z) = (1/2) (z/2)^alpha  int_0^inf t^(-alpha-1) e^(-t - z^2/4t) dt``
     (valid for every real ``alpha``, with ``K_{-alpha} = K_alpha``), evaluated
-    by double-exponential quadrature.  No recurrences are involved, so the
-    fallback's accuracy is uniform in the order; ``config.target_rel_tol``
-    governs only that fallback.  Past ``kve``'s range (``z`` above about 1e9,
-    where it returns nan) the quadrature fails or drifts as well, so that
-    raises ``AccuracyError``.
+    by double-exponential quadrature to ``rel_tol = 1e-13``
+    (``_K_FALLBACK_QUADRATURE``).  No recurrences are involved, so the
+    fallback's accuracy is uniform in the order.  Past ``kve``'s range (``z``
+    above about 1e9, where it returns nan) the quadrature fails or drifts as
+    well, so that raises ``AccuracyError``.
     """
     if not np.isfinite(alpha):
         raise DomainError("alpha must be finite")
@@ -351,17 +325,13 @@ def log_bessel_k(alpha, z, config=DEFAULT_BESSEL_CONFIG):
     def log_f(t):
         return -(alpha + 1.0) * np.log(t) - t - quarter_z2 / t
 
-    qcfg = QuadratureConfig(
-        transform="double_exponential",
-        rel_tol=min(config.target_rel_tol, 1e-12),
-    )
-    log_i, _ = log_integral_semi_infinite(log_f, qcfg)
+    log_i, _ = log_integral_semi_infinite(log_f, _K_FALLBACK_QUADRATURE)
     return np.log(0.5) + alpha * np.log(0.5 * z) + log_i
 
 
-def bessel_k(alpha, z, config=DEFAULT_BESSEL_CONFIG):
+def bessel_k(alpha, z):
     """Modified Bessel function of the second kind, positive real order/argument.
 
     Linear-space variant of :func:`log_bessel_k`.
     """
-    return np.exp(log_bessel_k(alpha, z, config))
+    return np.exp(log_bessel_k(alpha, z))

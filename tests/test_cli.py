@@ -728,7 +728,18 @@ class TestErrorContractFuzz:
             # the mass of a = 1e-300 is finite, so the q = 2 value overflows
             (["eval", "--d", "1", "--a", "1e-300", "--q", "2", "--x", "2",
               "--method", "closed-d1"], 3),
+            # an --out that cannot be opened raised IsADirectoryError or
+            # FileNotFoundError, which exited 1 (bound violated)
+            (["eval", "--d", "1", "--a", "1", "--q", "1", "--x", "1",
+              "--method", "bessel", "--out", "{tmp}"], 64),
+            (["eval", "--d", "1", "--a", "1", "--q", "1", "--x", "1",
+              "--method", "bessel", "--out", "{tmp}/missing/out.csv"], 64),
+            (["bound", "--d", "3", "--q", "1", "--kappa", "0.3", "--kappa1", "1",
+              "--a-grid", "0.3", "--box", "1", "--out", "{tmp}"], 64),
+            (["bound", "--d", "3", "--q", "1", "--kappa", "0.3", "--kappa1", "1",
+              "--a-grid", "0.3", "--box", "1", "--out", "{tmp}/missing/out.csv"], 64),
         ],
     )
-    def test_found_cases(self, argv, want):
-        assert _exit_code_and_stdout(argv)[0] == want
+    def test_found_cases(self, argv, want, tmp_path):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert _exit_code_and_stdout(argv) == (want, "")

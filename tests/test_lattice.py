@@ -223,10 +223,6 @@ class TestFourierOracle:
         with pytest.raises(DivergenceError):
             green_fourier_oracle(GreenParams(2, 0.0, 1.0), [1, 0])
 
-    def test_coarse_grid_raises(self):
-        with pytest.raises((AccuracyError, DomainError)):
-            green_fourier_oracle(GreenParams(1, 0.05, 1.0), [5], grid_n=64)
-
 
 class TestFourierBudget:
     @pytest.fixture
@@ -255,27 +251,19 @@ class TestFourierBudget:
         assert exc.value.best is None
         assert grids == []
 
-    def test_user_grid_checked(self, grids, monkeypatch):
-        import latgreen.lattice as lat
-
-        monkeypatch.setattr(lat, "_FOURIER_GRID_BYTES", 16 * 127**2)
-        with pytest.raises(AccuracyError):
-            green_fourier_oracle(GreenParams(2, 1.0, 1.0), [1, 0], grid_n=128)
-        assert grids == []
-        green_fourier_oracle(GreenParams(2, 1.0, 1.0), [1, 0], grid_n=127)
-
     def test_retry_over_budget_keeps_first_attempt(self, grids, monkeypatch):
         import latgreen.lattice as lat
 
         p, x = GreenParams(1, 0.5, 1.0), [20]  # shifted contour
+        monkeypatch.setattr(lat, "_FOURIER_REL_TOL", 1e-30)
         with pytest.raises(AccuracyError) as full:
-            green_fourier_oracle(p, x, rel_tol=1e-30)
+            green_fourier_oracle(p, x)
         first = max(grids[:3])
         assert max(grids) == 2 * first  # the retry at double size ran
         grids.clear()
         monkeypatch.setattr(lat, "_FOURIER_GRID_BYTES", 16 * first)
         with pytest.raises(AccuracyError) as capped:
-            green_fourier_oracle(p, x, rel_tol=1e-30)
+            green_fourier_oracle(p, x)
         assert max(grids) == first
         assert "budget" in str(capped.value)
         assert np.isfinite(capped.value.best) and capped.value.best > 0.0
@@ -462,8 +450,11 @@ class TestStructuralIdentities:
 
 
 class TestQuadratureFailure:
-    def test_node_budget_exhaustion_carries_best_estimate(self):
-        cfg = QuadratureConfig(max_nodes=64, rel_tol=1e-12)
+    def test_node_budget_exhaustion_carries_best_estimate(self, monkeypatch):
+        import latgreen.quadrature as quad_mod
+
+        monkeypatch.setattr(quad_mod, "_MAX_NODES", 64)
+        cfg = QuadratureConfig(rel_tol=1e-12)
         with pytest.raises(AccuracyError) as exc:
             green_bessel(GreenParams(3, 0.5, 1.0), [2, 1, 1], cfg)
         assert "nodes" in str(exc.value)

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import gammaln, kv, logsumexp
 
 import latgreen.lattice as lattice_mod
+import latgreen.quadrature as quadrature_mod
 from latgreen import AccuracyError, GreenParams, green_bessel, log_bessel_k
 from latgreen.quadrature import QuadratureConfig, _log_sum_exp, log_integral_semi_infinite
 
@@ -98,10 +99,11 @@ def test_regime_point_evaluates_each_node_once(monkeypatch):
     assert np.unique(nodes).size == nodes.size
 
 
-def test_node_budget_keeps_best_and_error():
+def test_node_budget_keeps_best_and_error(monkeypatch):
     # levels hold 65, 129, 257 nodes; the budget stops before the third,
     # and h = 1/2 is not yet within 1e-12 of h = 1
-    cfg = QuadratureConfig(max_nodes=200, rel_tol=1e-12)
+    monkeypatch.setattr(quadrature_mod, "_MAX_NODES", 200)
+    cfg = QuadratureConfig(rel_tol=1e-12)
     with pytest.raises(AccuracyError) as exc:
         log_integral_semi_infinite(log_gamma_integrand(1.0, 0.0), cfg)
     best, est = exc.value.best, exc.value.est_error
