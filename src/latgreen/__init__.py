@@ -60,7 +60,6 @@ from .norm import (
     unit_ball_boundary,
     unit_ball_rows,
 )
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .records import OutputRecord
 from .special import (
     bessel_k,
@@ -93,7 +92,6 @@ __all__ = [
     "BoundReport",
     "ConfigError",
     "ContinuumParams",
-    "DEFAULT_QUADRATURE",
     "DivergenceError",
     "DomainError",
     "GbarDiagnostics",
@@ -102,7 +100,6 @@ __all__ = [
     "LatticeGreenError",
     "NormContext",
     "OutputRecord",
-    "QuadratureConfig",
     "RegimeEstimate",
     "UnsupportedError",
     "VisitEstimate",

@@ -33,9 +33,11 @@ from .asymptotics import (
     uniform_bound_check,
 )
 from .errors import AccuracyError, DomainError, LatticeGreenError
-from .lattice import GreenParams, green_bessel, green_d1_closed, green_fourier_oracle
+from .lattice import (
+    GreenParams, GreenValue, green_bessel, green_d1_closed, green_fourier_oracle
+)
 from .norm import a_norm, mass, u_scale, unit_ball_rows
-from .quadrature import QuadratureConfig
+from .quadrature import _check_rel_tol
 from .records import CSV_SCHEMA_COMMENT, OutputRecord, _fmt
 from .walk import WalkConfig, estimate_green
 
@@ -69,8 +71,8 @@ def _ints(text):
     return tuple(int(c) for c in text.split(","))
 
 
-def _quad_config(args, parser):
-    """Tolerance from --rel-tol, else $LATGREEN_REL_TOL (read only here), else 1e-11."""
+def _rel_tol(args, parser):
+    """Checked tolerance from --rel-tol, else $LATGREEN_REL_TOL, else 1e-11."""
     rel_tol, raw = args.rel_tol, os.environ.get(_REL_TOL_ENV)
     if rel_tol is None:
         try:
@@ -78,7 +80,8 @@ def _quad_config(args, parser):
         except ValueError:
             msg = f"{parser.prog}: error: {_REL_TOL_ENV}={raw!r} is not a number\n"
             parser.exit(EXIT_USAGE, msg)
-    return QuadratureConfig(rel_tol=rel_tol)
+    _check_rel_tol(rel_tol)
+    return rel_tol
 
 
 class _Output:
@@ -135,7 +138,7 @@ def _cmd_eval(args, parser):
     if args.method == "mc" and args.a <= 0:
         parser.error("--method mc requires --a > 0")
     out = _Output(args)
-    cfg = _quad_config(args, parser)
+    rel_tol = _rel_tol(args, parser)
     for xs in args.x:
         if len(xs) != args.d:
             parser.error(f"--x {xs} does not have {args.d} coordinates")
@@ -148,34 +151,27 @@ def _cmd_eval(args, parser):
         tallies = walk.run_killed_walks(wcfg)
     for xs in args.x:
         if args.method == "bessel":
-            gv = green_bessel(GreenParams(args.d, args.a, args.q), xs, cfg)
-            value, log_value, est = gv.value, gv.log_value, gv.est_error
-            method = gv.method
+            gv = green_bessel(GreenParams(args.d, args.a, args.q), xs, rel_tol)
         elif args.method == "fourier":
             gv = green_fourier_oracle(GreenParams(args.d, args.a, args.q), xs)
-            value, log_value, est = gv.value, gv.log_value, gv.est_error
-            method = gv.method
         elif args.method == "closed-d1":
             gv = green_d1_closed(args.a, int(args.q), xs[0])
-            value, log_value, est = gv.value, gv.log_value, gv.est_error
-            method = gv.method
         else:
             est_v = estimate_green(wcfg, xs, tallies)
-            value, est = est_v.mean, est_v.std_err
-            log_value = math.log(value) if value > 0 else -math.inf
-            method = "monte_carlo"
+            log_mean = math.log(est_v.mean) if est_v.mean > 0 else -math.inf
+            gv = GreenValue(est_v.mean, log_mean, est_v.std_err, "monte_carlo")
         out.add_record(
             OutputRecord(
-                method=method,
+                method=gv.method,
                 d=args.d,
                 a=args.a,
                 q=args.q,
                 s=None,
                 n=None,
                 x=tuple(int(c) for c in xs),
-                value=value,
-                log_value=log_value,
-                est_error=est,
+                value=gv.value,
+                log_value=gv.log_value,
+                est_error=gv.est_error,
             )
         )
     out.emit()
@@ -226,7 +222,7 @@ def _cmd_asy(args, parser):
     xs = args.x
     if len(xs) != args.d:
         parser.error(f"--x {xs} does not have {args.d} coordinates")
-    cfg = _quad_config(args, parser)
+    rel_tol = _rel_tol(args, parser)
     x_label = ",".join(str(int(c)) for c in xs)
     for n in args.n_list:
         if n < 1:
@@ -237,7 +233,7 @@ def _cmd_asy(args, parser):
         if args.d == 1 and args.q.is_integer() and a_n > 0:
             exact = green_d1_closed(a_n, int(args.q), nx[0])
         else:
-            exact = green_bessel(p, nx, cfg)
+            exact = green_bessel(p, nx, rel_tol)
         estimates = []
         if args.a is not None:
             estimates.append(oz_estimate(p, xs, n))

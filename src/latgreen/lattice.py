@@ -29,7 +29,7 @@ from scipy.special import gammaln, roots_jacobi, roots_legendre
 
 from .errors import AccuracyError, DivergenceError, DomainError, UnsupportedError
 from .norm import mass, u_scale
-from .quadrature import DEFAULT_QUADRATURE, _log_sum_exp, log_integral_semi_infinite
+from .quadrature import _log_sum_exp, log_integral_semi_infinite
 from .special import log_scaled_bessel_i
 
 __all__ = [
@@ -111,25 +111,26 @@ def _check_lattice_point(x, d):
     return np.abs(x.astype(np.int64))
 
 
-def green_bessel(p, x, cfg=DEFAULT_QUADRATURE):
+def green_bessel(p, x, rel_tol=1e-11):
     """Lattice Green function via the scaled-Bessel integral representation.
 
     The integrand ``t^(q-1) exp(-a^2 t) prod_j ibar(|x_j|, t/d) / Gamma(q)``
-    is positive, so the integral is accumulated by log-sum-exp under the
-    transform selected in ``cfg`` (log substitution by default); the product
-    over coordinates is a plain sum of log factors.
+    is positive, so the integral is accumulated by log-sum-exp on the map
+    ``t = exp(v)``; the product over coordinates is a plain sum of log
+    factors.
 
     Parameters
     ----------
     p : GreenParams
     x : sequence of int
         Lattice point, length ``p.d``.  Only ``|x_j|`` matters.
-    cfg : QuadratureConfig
+    rel_tol : float
+        Target relative error, in (0, 1e-6]; ``ConfigError`` otherwise.
 
     Returns
     -------
     GreenValue
-        ``method="bessel_rep"``; ``est_error <= cfg.rel_tol * value``.
+        ``method="bessel_rep"``; ``est_error <= rel_tol * value``.
     """
     p.check_finite()
     orders = _check_lattice_point(x, p.d)
@@ -147,7 +148,7 @@ def green_bessel(p, x, cfg=DEFAULT_QUADRATURE):
             acc = acc + c * log_scaled_bessel_i(nu, td)
         return acc
 
-    log_val, rel_err = log_integral_semi_infinite(log_f, cfg)
+    log_val, rel_err = log_integral_semi_infinite(log_f, rel_tol)
     return GreenValue.from_log(log_val, rel_err, "bessel_rep")
 
 

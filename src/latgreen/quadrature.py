@@ -2,17 +2,17 @@
 
 All integrands handled here are positive, smooth, and decay at least
 exponentially after a change of variables, so the composite trapezoid rule in
-the transformed variable converges geometrically.  Two transforms are
-provided:
+the transformed variable converges geometrically.  Two maps are provided:
 
-``log_substitution``
-    ``t = exp(v)``.  Integrands that decay polynomially near 0 and
-    exponentially (or polynomially, for the critical cases) near infinity
-    become doubly-exponentially / exponentially decaying in ``v``.
+``t = exp(v)`` (the default)
+    Integrands that decay polynomially near 0 and exponentially (or
+    polynomially, for the critical cases) near infinity become
+    doubly-exponentially / exponentially decaying in ``v``.
 
-``double_exponential``
-    ``t = exp(2 sinh v)``, which forces double-exponential decay for
-    integrands with an essential singularity at 0 (e.g. ``exp(-c/t)``).
+``t = exp(2 sinh v)`` (``double_exponential=True``)
+    Forces double-exponential decay for integrands with an essential
+    singularity at 0 (e.g. ``exp(-c/t)``); the ``log_bessel_k`` fallback
+    uses it.
 
 Each node of the transformed integrand ``g(v)`` is evaluated at most once per
 integral.  A fixed-step scan grid locates the peak, and each tail ends at the
@@ -31,13 +31,9 @@ scipy's array-API wrapper costs several times the sum itself on vectors of a
 few hundred nodes, and the quadrature sums one such vector per level.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import AccuracyError, ConfigError
-
-_TRANSFORMS = ("log_substitution", "double_exponential")
 
 # March this far below the running maximum before truncating a tail; exp(-60)
 # per node is negligible against rel_tol >= 1e-13 even for ~1e4 nodes.
@@ -47,21 +43,10 @@ _TAIL_DROP = 60.0
 _MAX_NODES = 200_000
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Knobs for the semi-infinite log-space trapezoid rule."""
-
-    transform: str = "log_substitution"
-    rel_tol: float = 1e-11
-
-    def __post_init__(self):
-        if self.transform not in _TRANSFORMS:
-            raise ConfigError(f"unknown transform {self.transform!r}")
-        if not (0.0 < self.rel_tol <= 1e-6):
-            raise ConfigError("rel_tol must lie in (0, 1e-6]")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+def _check_rel_tol(rel_tol):
+    """Raise ``ConfigError`` unless ``rel_tol`` lies in (0, 1e-6]."""
+    if not (0.0 < rel_tol <= 1e-6):
+        raise ConfigError("rel_tol must lie in (0, 1e-6]")
 
 
 def _log_sum_exp(a, axis=None):
@@ -88,9 +73,9 @@ def _log_sum_exp(a, axis=None):
     return out
 
 
-def _log_weighted(log_integrand, transform):
-    """Return g(v) = log integrand(t(v)) + log |dt/dv| for the transform."""
-    if transform == "log_substitution":
+def _log_weighted(log_integrand, double_exponential):
+    """Return g(v) = log integrand(t(v)) + log |dt/dv| for the map."""
+    if not double_exponential:
 
         def g(v):
             return log_integrand(np.exp(v)) + v
@@ -104,7 +89,7 @@ def _log_weighted(log_integrand, transform):
     return g, 6.55, 0.05, 6.5
 
 
-def log_integral_semi_infinite(log_integrand, config=DEFAULT_QUADRATURE):
+def log_integral_semi_infinite(log_integrand, rel_tol=1e-11, double_exponential=False):
     """Integrate a positive integrand over (0, inf), returning logs.
 
     Parameters
@@ -112,7 +97,10 @@ def log_integral_semi_infinite(log_integrand, config=DEFAULT_QUADRATURE):
     log_integrand : callable
         Vectorized map from an ndarray of ``t > 0`` to the natural log of the
         integrand (``-inf`` allowed).
-    config : QuadratureConfig
+    rel_tol : float
+        Target relative error, in (0, 1e-6]; ``ConfigError`` otherwise.
+    double_exponential : bool
+        Use the map ``t = exp(2 sinh v)`` instead of ``t = exp(v)``.
 
     Returns
     -------
@@ -126,10 +114,11 @@ def log_integral_semi_infinite(log_integrand, config=DEFAULT_QUADRATURE):
     ------
     AccuracyError
         If the node budget is exhausted before the doubling difference meets
-        ``config.rel_tol`` (the error carries the best log-estimate), or if
-        the transformed integrand peaks at the cut-off ``+-v_cap``.
+        ``rel_tol`` (the error carries the best log-estimate), or if the
+        transformed integrand peaks at the cut-off ``+-v_cap``.
     """
-    g, v_cap, scan_step, scan_half = _log_weighted(log_integrand, config.transform)
+    _check_rel_tol(rel_tol)
+    g, v_cap, scan_step, scan_half = _log_weighted(log_integrand, double_exponential)
 
     # Scan for the peak; a tail ends at the first node at or below the cut-off,
     # or at the cap, and the grid grows by one block while a tail runs off it.
@@ -155,9 +144,9 @@ def log_integral_semi_infinite(log_integrand, config=DEFAULT_QUADRATURE):
             break
     if abs(grid[imax]) >= v_cap:
         # still rising at the cut-off: the mass beyond it is unknown
+        name = "double_exponential" if double_exponential else "log_substitution"
         raise AccuracyError(
-            f"integrand peaks at the cut-off v = {grid[imax]:+g} of the "
-            f"{config.transform} transform"
+            f"integrand peaks at the cut-off v = {grid[imax]:+g} of the {name} transform"
         )
     v_lo, v_hi = grid[left[-1]], grid[right[0]]
 
@@ -193,7 +182,7 @@ def log_integral_semi_infinite(log_integrand, config=DEFAULT_QUADRATURE):
             # a log of magnitude |L| cannot resolve differences below its
             # own ulp, which caps the achievable relative accuracy
             floor = 8.0 * np.finfo(float).eps * max(1.0, abs(log_i))
-            if est <= max(0.25 * config.rel_tol, floor):
+            if est <= max(0.25 * rel_tol, floor):
                 return log_i, max(est, floor)
         log_prev = log_i
         h /= 2.0

@@ -13,32 +13,30 @@ underflow in linear space.
 Evaluation strategy: every node first gets ``log(ive(nu, t))`` from scipy's
 exponentially scaled ``ive`` (Amos, ACM TOMS 12 (1986) 265, Algorithm 644),
 which costs well under a microsecond per node.  That value is kept wherever it
-lies above ``_IVE_LOG_FLOOR``.  The other nodes go to a region dispatch that
-works in log space and covers every ``(nu, t)`` on its own:
+lies above ``_IVE_LOG_FLOOR``.  The other nodes (``ive`` underflows for ``t``
+small against ``nu``, and returns nan past ``t ~ 1e9``) go to a region
+dispatch that works in log space and covers every ``(nu, t)`` on its own:
 
-* where ``ive`` underflows (``t`` small against ``nu``), the power series
-  takes ``t <= max(_SERIES_CROSSOVER, nu)`` (at most ``_SERIES_TERM_CAP``
-  terms) and the large-order uniform (Debye) expansion, with the standard
-  polynomials ``u_k`` through fifth order, takes orders ``nu >= 50`` above it;
-* where ``ive`` returns nan (past ``t ~ 1e9``), the large-argument (Hankel)
-  expansion takes ``t >= nu**2 / 2`` and Debye the larger orders.
-
-For ``nu < 50`` the series also spans the gap where neither expansion is
-accurate yet.
+* the large-argument (Hankel) expansion takes ``t >= nu**2 / 2`` with
+  ``t > 30``;
+* below that, orders ``nu >= 50`` take the large-order uniform (Debye)
+  expansion with the standard polynomials ``u_k`` through fifth order, which
+  is uniform in ``t`` (DLMF 10.41(ii); Olver, Phil. Trans. A 247 (1954) 328),
+  and smaller orders take the power series, which needs at most about 1000
+  terms there (``t < 1250``).
 
 Also here: the modified Bessel function of the second kind ``K_alpha`` from
 scipy's scaled ``kve``, with its symmetric integral representation
-(double-exponential quadrature to ``_K_FALLBACK_QUADRATURE``, valid for all
-real orders) wherever ``kve`` overflows or underflows, and the
-exponent/amplitude pair ``psi`` / ``uniform_l`` of the large-order scaling
-form for ``ibar``.
+(double-exponential quadrature to ``rel_tol = 1e-13``, valid for all real
+orders) wherever ``kve`` overflows or underflows, and the exponent/amplitude
+pair ``psi`` / ``uniform_l`` of the large-order scaling form for ``ibar``.
 """
 
 import numpy as np
 from scipy.special import gammaln, ive, kve
 
 from .errors import AccuracyError, DomainError
-from .quadrature import QuadratureConfig, _log_sum_exp, log_integral_semi_infinite
+from .quadrature import _log_sum_exp, log_integral_semi_infinite
 
 __all__ = [
     "scaled_bessel_i",
@@ -54,23 +52,22 @@ __all__ = [
 ]
 
 
-# The fallback regions of log_scaled_bessel_i use the power series up to
-# t = max(_SERIES_CROSSOVER, nu), and refuse one of more than _SERIES_TERM_CAP
-# terms with AccuracyError.
-_SERIES_CROSSOVER = 30.0
-_SERIES_TERM_CAP = 50_000
-
-# Quadrature of the log_bessel_k fallback (where kve overflows or underflows).
-_K_FALLBACK_QUADRATURE = QuadratureConfig(transform="double_exponential", rel_tol=1e-13)
-
 # log(ive) is kept above this.  ive returns 0 below about exp(-700.9), the
 # underflow limit of the Amos code, so the floor keeps only values clear of
 # that limit; the other nodes go to the log-space region dispatch.
 _IVE_LOG_FLOOR = -700.0
 
-# Minimum order for the uniform large-order expansion; below this the series
-# region is extended (t < nu**2 / 2 stays affordable for nu < 50).
+# The Hankel expansion serves t >= nu**2 / 2 with t > _HANKEL_MIN_ARG in the
+# fallback; below it, orders >= _UNIFORM_MIN_ORDER take the Debye expansion
+# and smaller ones the power series.
+_HANKEL_MIN_ARG = 30.0
 _UNIFORM_MIN_ORDER = 50.0
+
+# psi(t) takes arcsinh(1/t) in a form that cannot overflow below this t.
+_PSI_SMALL_T = 1e-300
+
+# Smallest normal float; Debye takes t / nu down to it.
+_TINY = np.finfo(float).tiny
 
 # Debye polynomials u_k, coefficients highest degree first over one common
 # denominator (standard recurrence u_{k+1} = t^2(1-t^2)u_k'/2 +
@@ -104,11 +101,18 @@ def psi(t):
     """Exponent of the large-order scaling of the scaled Bessel function.
 
     ``psi(t) = -t + sqrt(1+t^2) + log(t / (1 + sqrt(1+t^2)))``, evaluated in
-    the cancellation-free form ``1/(t + sqrt(1+t^2)) - arcsinh(1/t)``.
-    Negative for all t > 0 and tends to 0 from below as t -> infinity.
+    the cancellation-free form ``1/(t + sqrt(1+t^2)) - arcsinh(1/t)``, with
+    ``arcsinh(1/t) = log1p(sqrt(1+t^2)) - log(t)`` below ``t = 1e-300``,
+    where ``1/t`` would overflow.  Negative for all t > 0 and tends to 0 from
+    below as t -> infinity.
     """
     t = _check_positive(t, "t")
-    return 1.0 / (t + np.sqrt(1.0 + t * t)) - np.arcsinh(1.0 / t)
+    root = np.sqrt(1.0 + t * t)
+    small = t < _PSI_SMALL_T
+    asinh_inv = np.arcsinh(1.0 / np.where(small, 1.0, t))
+    if np.any(small):
+        asinh_inv = np.where(small, np.log1p(root) - np.log(t), asinh_inv)[()]
+    return 1.0 / (t + root) - asinh_inv
 
 
 def psi_d1(t):
@@ -162,8 +166,6 @@ def _series_log_ibar(nu, t):
     tmax = float(t.max())
     k_peak = 0.5 * (np.hypot(nu, tmax) - nu)
     n_terms = int(k_peak + 12.0 * np.sqrt(k_peak + 1.0) + 25.0)
-    if n_terms > _SERIES_TERM_CAP:
-        raise AccuracyError(f"series needs {n_terms} terms, above the cap {_SERIES_TERM_CAP}")
     k = np.arange(n_terms, dtype=float)
     log_fact = gammaln(k + 1.0) + gammaln(k + nu + 1.0)
     # Chunk to keep the (n_terms, len(t)) matrix small.
@@ -219,10 +221,9 @@ def log_scaled_bessel_i(nu, t):
     Each node takes ``log(ive(nu, t))`` from scipy where that lies above
     ``_IVE_LOG_FLOOR``.  Nodes where ``ive`` underflows (``t`` small against
     ``nu``) or returns nan (``t`` past ~1e9) fall back to the log-space
-    regions: the power series for ``t <= max(_SERIES_CROSSOVER, nu)`` (at
-    most ``_SERIES_TERM_CAP`` terms), the Hankel expansion for
-    ``t >= nu**2 / 2``, and the Debye expansion in between for ``nu >= 50``
-    (the series again for smaller orders).
+    regions: the Hankel expansion for ``t >= nu**2 / 2`` (and ``t > 30``),
+    and below it the Debye expansion for ``nu >= 50`` and the power series
+    for smaller orders.
 
     Parameters
     ----------
@@ -266,16 +267,15 @@ def log_scaled_bessel_i(nu, t):
 
 
 def _region_log_ibar(nu, tv):
-    """Series/Hankel/Debye dispatch for positive arguments ``tv``."""
+    """Hankel/Debye/series dispatch for positive arguments ``tv``.
+
+    Debye also needs ``z = t / nu`` to be a normal float; the nodes below
+    that take the series, which needs a few dozen terms there.
+    """
     res = np.empty_like(tv)
-    series_gate = max(_SERIES_CROSSOVER, nu)
-    m_series = tv <= series_gate
-    m_hankel = (~m_series) & (tv >= 0.5 * nu * nu)
-    if nu >= _UNIFORM_MIN_ORDER:
-        m_uniform = ~(m_series | m_hankel)
-    else:
-        m_uniform = np.zeros_like(m_series)
-        m_series = m_series | ~(m_series | m_hankel)
+    m_hankel = (tv > _HANKEL_MIN_ARG) & (tv >= 0.5 * nu * nu)
+    m_uniform = ~m_hankel & (nu >= _UNIFORM_MIN_ORDER) & (tv >= _TINY * nu)
+    m_series = ~(m_hankel | m_uniform)
     if np.any(m_series):
         res[m_series] = _series_log_ibar(nu, tv[m_series])
     if np.any(m_hankel):
@@ -303,9 +303,9 @@ def log_bessel_k(alpha, z):
     back to the symmetric integral
     ``K_alpha(z) = (1/2) (z/2)^alpha  int_0^inf t^(-alpha-1) e^(-t - z^2/4t) dt``
     (valid for every real ``alpha``, with ``K_{-alpha} = K_alpha``), evaluated
-    by double-exponential quadrature to ``rel_tol = 1e-13``
-    (``_K_FALLBACK_QUADRATURE``).  No recurrences are involved, so the
-    fallback's accuracy is uniform in the order.  Past ``kve``'s range (``z``
+    by quadrature on the double-exponential map ``t = exp(2 sinh v)`` to
+    ``rel_tol = 1e-13``.  No recurrences are involved, so the fallback's
+    accuracy is uniform in the order.  Past ``kve``'s range (``z``
     above about 1e9, where it returns nan) the quadrature fails or drifts as
     well, so that raises ``AccuracyError``.
     """
@@ -325,7 +325,7 @@ def log_bessel_k(alpha, z):
     def log_f(t):
         return -(alpha + 1.0) * np.log(t) - t - quarter_z2 / t
 
-    log_i, _ = log_integral_semi_infinite(log_f, _K_FALLBACK_QUADRATURE)
+    log_i, _ = log_integral_semi_infinite(log_f, 1e-13, double_exponential=True)
     return np.log(0.5) + alpha * np.log(0.5 * z) + log_i
 
 

@@ -542,6 +542,38 @@ class TestEnvironment:
         assert len(body) == 1
 
 
+_REL_TOL_COMMANDS = {
+    "eval-bessel": ["eval", "--d", "1", "--a", "1", "--q", "1", "--x", "1",
+                    "--method", "bessel"],
+    "eval-fourier": ["eval", "--d", "1", "--a", "1", "--q", "1", "--x", "1",
+                     "--method", "fourier"],
+    "eval-closed-d1": ["eval", "--d", "1", "--a", "1", "--q", "1", "--x", "1",
+                       "--method", "closed-d1"],
+    "eval-mc": ["eval", "--d", "1", "--a", "1", "--q", "1", "--x", "1",
+                "--method", "mc", "--walks", "10"],
+    "asy": ["asy", "--d", "1", "--q", "1", "--x", "1", "--a", "1", "--n-list", "1"],
+}
+
+
+class TestRelTolRange:
+    """An out-of-range tolerance is a domain error (exit 2) for every method."""
+
+    @staticmethod
+    def assert_rejected(code, out, err):
+        assert (code, out, err) == (2, "", "latgreen: rel_tol must lie in (0, 1e-6]\n")
+
+    @pytest.mark.parametrize("command", sorted(_REL_TOL_COMMANDS))
+    @pytest.mark.parametrize("rel_tol", ["0", "-1e-12", "nan", "inf", "1e-3"])
+    def test_flag(self, capsys, command, rel_tol):
+        argv = [*_REL_TOL_COMMANDS[command], f"--rel-tol={rel_tol}"]
+        self.assert_rejected(*run_cli(capsys, *argv))
+
+    @pytest.mark.parametrize("command", sorted(_REL_TOL_COMMANDS))
+    def test_environment(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("LATGREEN_REL_TOL", "1e-3")
+        self.assert_rejected(*run_cli(capsys, *_REL_TOL_COMMANDS[command]))
+
+
 class TestAccuracyExitCode:
     def test_accuracy_error_exits_3(self, capsys, monkeypatch):
         import latgreen.cli as cli_mod
@@ -617,7 +649,10 @@ _NUMBER_TEXT = ["0", "1e-300", "1e300", "nan", "inf", "-inf", "-1", "0.3", "1", 
 
 @st.composite
 def _argv(draw):
-    """argv for eval (bessel, closed-d1, mc), norm, asy and ball; small inputs."""
+    """argv for eval (bessel, closed-d1, mc), norm, asy and ball; small inputs.
+
+    eval and asy may carry a ``--rel-tol``.
+    """
     command = draw(st.sampled_from(["eval", "norm", "asy", "ball"]))
     d = draw(st.integers(min_value=0, max_value=4))
     a = draw(st.sampled_from(_NUMBER_TEXT))
@@ -631,6 +666,9 @@ def _argv(draw):
     if command == "norm":
         return ["norm", "--d", str(d), "--a", a, "--x", x]
     q = draw(st.sampled_from(["0", "0.5", "1", "2", "nan", "inf", "-1"]))
+    rel_tol = st.one_of(
+        st.just([]), st.sampled_from(_NUMBER_TEXT).map(lambda r: [f"--rel-tol={r}"])
+    )
     if command == "eval":
         method = draw(st.sampled_from(["bessel", "closed-d1", "mc"]))
         argv = ["eval", "--d", str(d), "--a", a, "--q", q, "--x", x, "--method", method]
@@ -641,11 +679,12 @@ def _argv(draw):
             # tiny a: 200 walks at a = 0.001 expect 2e8 steps, over the budget
             argv[argv.index("--a") + 1] = draw(st.sampled_from([a, "0.001", "0.02", "1e-300"]))
             argv += ["--walks", str(draw(st.integers(min_value=-1, max_value=200)))]
-        return argv
+        return argv + draw(rel_tol)
     n_list = ",".join(draw(st.lists(st.sampled_from(["0", "1", "2", "-1"]),
                                     min_size=1, max_size=2)))
     mode = draw(st.sampled_from([["--a", a], ["--s", a]]))
-    return ["asy", "--d", str(d), "--q", q, "--x", x, *mode, "--n-list", n_list]
+    argv = ["asy", "--d", str(d), "--q", q, "--x", x, *mode, "--n-list", n_list]
+    return argv + draw(rel_tol)
 
 
 @st.composite

@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import gammaln
+
 from latgreen import (
     AccuracyError,
+    ConfigError,
     DivergenceError,
     DomainError,
     GreenParams,
-    QuadratureConfig,
     UnsupportedError,
     green_bessel,
     green_d1_closed,
@@ -74,8 +76,7 @@ class TestGreenBessel:
         assert math.exp(gv.log_value) == pytest.approx(gv.value, rel=1e-12)
 
     def test_error_estimate_within_tolerance(self):
-        cfg = QuadratureConfig(rel_tol=1e-9)
-        gv = green_bessel(GreenParams(3, 0.5, 1.0), [2, 1, 1], cfg)
+        gv = green_bessel(GreenParams(3, 0.5, 1.0), [2, 1, 1], rel_tol=1e-9)
         assert gv.est_error <= 1e-9 * gv.value
 
     def test_deep_decay_stays_in_log_space(self):
@@ -454,28 +455,35 @@ class TestQuadratureFailure:
         import latgreen.quadrature as quad_mod
 
         monkeypatch.setattr(quad_mod, "_MAX_NODES", 64)
-        cfg = QuadratureConfig(rel_tol=1e-12)
         with pytest.raises(AccuracyError) as exc:
-            green_bessel(GreenParams(3, 0.5, 1.0), [2, 1, 1], cfg)
+            green_bessel(GreenParams(3, 0.5, 1.0), [2, 1, 1], rel_tol=1e-12)
         assert "nodes" in str(exc.value)
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-12, math.nan, math.inf, 1e-3])
+    def test_rel_tol_out_of_range_rejected(self, rel_tol):
+        with pytest.raises(ConfigError, match=r"rel_tol must lie in \(0, 1e-6\]"):
+            green_bessel(GreenParams(2, 0.6, 1.5), [2, 1], rel_tol=rel_tol)
 
 
 class TestTransformChoice:
     def test_transforms_agree(self):
-        # both semi-infinite transforms are valid for the Bessel-route
+        # both maps of the half line are valid for the Bessel-route
         # integrand; results must agree to quadrature tolerance
-        p = GreenParams(2, 0.6, 1.5)
-        log_cfg = QuadratureConfig(transform="log_substitution", rel_tol=1e-11)
-        de_cfg = QuadratureConfig(transform="double_exponential", rel_tol=1e-11)
-        a = green_bessel(p, [2, 1], log_cfg)
-        b = green_bessel(p, [2, 1], de_cfg)
-        assert b.value == pytest.approx(a.value, rel=1e-9)
+        from latgreen.quadrature import log_integral_semi_infinite
+        from latgreen.special import log_scaled_bessel_i
 
-    def test_unknown_transform_rejected(self):
-        from latgreen import ConfigError
+        # green_bessel's integrand at d = 2, a = 0.6, q = 1.5, x = (2, 1)
+        def log_f(t):
+            td = t / 2.0
+            return (
+                0.5 * np.log(t) - 0.36 * t - gammaln(1.5)
+                + log_scaled_bessel_i(2, td) + log_scaled_bessel_i(1, td)
+            )
 
-        with pytest.raises(ConfigError):
-            QuadratureConfig(transform="legendre")
+        a, _ = log_integral_semi_infinite(log_f, 1e-11)
+        b, _ = log_integral_semi_infinite(log_f, 1e-11, double_exponential=True)
+        assert math.exp(b) == pytest.approx(math.exp(a), rel=1e-9)
+        assert a == green_bessel(GreenParams(2, 0.6, 1.5), [2, 1]).log_value
 
 
 class TestSymmetryProperties:

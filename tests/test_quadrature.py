@@ -10,7 +10,7 @@ from scipy.special import gammaln, kv, logsumexp
 import latgreen.lattice as lattice_mod
 import latgreen.quadrature as quadrature_mod
 from latgreen import AccuracyError, GreenParams, green_bessel, log_bessel_k
-from latgreen.quadrature import QuadratureConfig, _log_sum_exp, log_integral_semi_infinite
+from latgreen.quadrature import _log_sum_exp, log_integral_semi_infinite
 
 
 class CountingIntegrand:
@@ -86,10 +86,10 @@ def test_double_exponential_bessel_k_against_scipy(alpha, z):
 def test_regime_point_evaluates_each_node_once(monkeypatch):
     seen = []
 
-    def counting_quadrature(log_f, cfg):
+    def counting_quadrature(log_f, *args, **kwargs):
         f = CountingIntegrand(log_f)
         seen.append(f)
-        return log_integral_semi_infinite(f, cfg)
+        return log_integral_semi_infinite(f, *args, **kwargs)
 
     monkeypatch.setattr(lattice_mod, "log_integral_semi_infinite", counting_quadrature)
     green_bessel(GreenParams(3, 0.5, 1.0), [8, 4, 4])
@@ -103,21 +103,23 @@ def test_node_budget_keeps_best_and_error(monkeypatch):
     # levels hold 65, 129, 257 nodes; the budget stops before the third,
     # and h = 1/2 is not yet within 1e-12 of h = 1
     monkeypatch.setattr(quadrature_mod, "_MAX_NODES", 200)
-    cfg = QuadratureConfig(rel_tol=1e-12)
     with pytest.raises(AccuracyError) as exc:
-        log_integral_semi_infinite(log_gamma_integrand(1.0, 0.0), cfg)
+        log_integral_semi_infinite(log_gamma_integrand(1.0, 0.0), 1e-12)
     best, est = exc.value.best, exc.value.est_error
     assert best is not None and np.isfinite(est)
     assert 0.25e-12 < est < 1e-3
     assert abs(best - 0.0) <= est
 
 
-@pytest.mark.parametrize("transform", ["log_substitution", "double_exponential"])
-def test_peak_at_cut_off_raises(transform):
+@pytest.mark.parametrize(
+    "double_exponential", [False, True], ids=["log_substitution", "double_exponential"]
+)
+def test_peak_at_cut_off_raises(double_exponential):
     # log t^(1/2): the transformed integrand rises all the way to +v_cap
-    cfg = QuadratureConfig(transform=transform)
     with pytest.raises(AccuracyError, match="cut-off"):
-        log_integral_semi_infinite(lambda t: 0.5 * np.log(t), cfg)
+        log_integral_semi_infinite(
+            lambda t: 0.5 * np.log(t), double_exponential=double_exponential
+        )
 
 
 @pytest.mark.parametrize(

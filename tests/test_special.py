@@ -145,11 +145,13 @@ class TestScaledBesselI:
         with pytest.raises(DomainError):
             scaled_bessel_i(-2, 1.0)
 
-    def test_series_term_cap(self):
-        # at order 3e5, ive underflows on the scanned t <= nu, which go to the
-        # series; it would need 63 241 terms
-        with pytest.raises(AccuracyError, match="cap"):
-            green_bessel(GreenParams(1, 1.0, 1.0), [300000])
+    @pytest.mark.parametrize("x", [300000, 1000000])
+    def test_orders_past_series_reach_match_closed_form(self, x):
+        # order >= 2.4e5: the fallback nodes of order >= 50 below the Hankel
+        # band take Debye; the series there would need more than 60 000 terms
+        gb = green_bessel(GreenParams(1, 1.0, 1.0), [x])
+        gc = green_d1_closed(1.0, 1, x)
+        assert abs(gb.log_value - gc.log_value) <= 1e-15 * abs(gc.log_value)
 
 
 def log_ibar_mpmath(nu, t):
@@ -188,6 +190,41 @@ class TestDispatchReferee:
                 assert_log_close(got, log_ibar_mpmath(nu, t))
         assert sides == {False, True}
 
+    # 40-digit mpmath values of log ibar, pinned: mpmath takes seconds at the
+    # largest orders.  Every point has log ive < -700, so the fallback serves it.
+    @pytest.mark.parametrize(
+        "nu, t, want",
+        [
+            (50, 1e-300, -34721.911520890455),
+            (50, 1e-8, -1104.1691631873887),
+            (64, 1e-300, -44459.16340452415),
+            (64, 1e-8, -1428.453186661429),
+            (1000, 1e-300, -697380.8032572619),
+            (1000, 1e-8, -25025.956103010474),
+            (1000, 1.0, -6606.27510929789),
+            (1000, 100.0, -2097.6107728110014),
+            (300000, 1e-300, -210924071.07443127),
+            (300000, 1e-8, -9217616.928152893),
+            (300000, 1.0, -3691413.7049663393),
+            (300000, 30000.0, -627977.8436510265),
+        ],
+    )
+    def test_debye_band_against_pinned_mpmath(self, nu, t, want):
+        with np.errstate(divide="ignore"):
+            assert np.log(ive(nu, t)) < -700.0
+        got = log_scaled_bessel_i(nu, t)
+        assert abs(got - want) <= 1e-15 * abs(want), (got, want)
+
+    @pytest.mark.parametrize(
+        "nu, t, want",
+        [(50, 1e-323, -37370.48136302084), (1e4, 1e-310, -7227054.187923956)],
+    )
+    def test_subnormal_order_ratio_takes_series(self, nu, t, want):
+        # t / nu is 0 or subnormal here, where Debye would fail or lose bits;
+        # the values are 40-digit mpmath
+        got = log_scaled_bessel_i(nu, t)
+        assert abs(got - want) <= 1e-15 * abs(want), (got, want)
+
     @pytest.mark.parametrize("t", [1e10, 1e15, 1e26, 1e300])
     def test_half_integer_closed_forms_past_ive_range(self, t):
         # I_{1/2} = sqrt(2/(pi t)) sinh t, I_{3/2} = sqrt(2/(pi t)) (cosh t -
@@ -198,9 +235,9 @@ class TestDispatchReferee:
         assert_log_close(log_scaled_bessel_i(1.5, t), base + math.log1p(-1.0 / t))
 
     def test_large_order_green_bessel_matches_closed_form(self):
-        # order 20000: left-tail nodes where ive underflows take the series
-        # and Debye (the series alone would need > 50 000 terms), the right
-        # tail past t ~ 1e9 takes Hankel
+        # order 20000: left-tail nodes where ive underflows take Debye (the
+        # series would need thousands of terms), the right tail past t ~ 1e9
+        # takes Hankel
         gb = green_bessel(GreenParams(1, 0.01, 1), [20000])
         gc = green_d1_closed(0.01, 1, 20000)
         assert gb.log_value == pytest.approx(gc.log_value, rel=1e-12)
@@ -268,9 +305,9 @@ class TestBesselK:
         mp.mp.dps = 30
         calls = []
 
-        def spy(log_f, cfg):
-            calls.append(cfg)
-            return log_integral_semi_infinite(log_f, cfg)
+        def spy(log_f, *args, **kwargs):
+            calls.append((args, kwargs))
+            return log_integral_semi_infinite(log_f, *args, **kwargs)
 
         monkeypatch.setattr(special_mod, "log_integral_semi_infinite", spy)
         got = log_bessel_k(alpha, z)
@@ -323,6 +360,14 @@ class TestPsi:
             8 * h**3
         )
         assert psi_d3(t) == pytest.approx(d3, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "t, want", [(1e-310, -713.4945260087142), (5e-324, -744.1332191019412)]
+    )
+    def test_below_reciprocal_overflow(self, t, want):
+        # 1/t overflows here; the values are 40-digit mpmath
+        assert psi(t) == pytest.approx(want, rel=1e-15)
+        assert psi(np.array([t, 1.0]))[0] == psi(t)
 
     def test_domain(self):
         with pytest.raises(DomainError):
