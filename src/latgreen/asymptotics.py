@@ -44,7 +44,6 @@ __all__ = [
     "uniform_bound_rhs",
     "uniform_bound_check",
     "BoundReport",
-    "classify_regime",
 ]
 
 REGIME_I = "I_anisotropic_OZ"
@@ -372,22 +371,3 @@ def _sorted_box_points(d, box):
     rec([], 0)
     return pts
 
-
-def classify_regime(d, q, a, x, n):
-    """Heuristic regime label for documentation of sweeps.
-
-    The regime formulas are asymptotic; this label never replaces the raw
-    estimates, it only annotates output rows.  Regime I when the scaled
-    distance ``a n |x|_a`` is at least 10 and the killing is not vanishing
-    (``a^3 n`` above 0.1), II when it is at least 10 but ``a^3 n`` is at
-    most 0.1, III/IV otherwise by whether killing is present.
-    """
-    if a < 0.0:
-        raise DomainError("a must be >= 0")
-    xv = np.asarray(x, dtype=float)
-    if a == 0.0:
-        return REGIME_IV
-    scaled = a * n * a_norm(xv, d, a)
-    if scaled >= 10.0:
-        return REGIME_I if a ** 3 * n > 0.1 else REGIME_II
-    return REGIME_III

@@ -17,29 +17,49 @@ error, 3 accuracy error, 64 usage error.  Output is CSV (with a leading
 
 import argparse
 import csv
+import importlib
 import json
 import math
 import os
 import sys
 
-import numpy as np
-
-from . import walk
-from .asymptotics import (
-    critical_estimate,
-    gbar_curve,
-    oz_estimate,
-    oz_isotropic_estimate,
-    uniform_bound_check,
-)
 from .errors import AccuracyError, DomainError, LatticeGreenError
-from .lattice import (
-    GreenParams, GreenValue, green_bessel, green_d1_closed, green_fourier_oracle
-)
-from .norm import a_norm, mass, u_scale, unit_ball_rows
-from .quadrature import _check_rel_tol
-from .records import CSV_SCHEMA_COMMENT, OutputRecord, _fmt
-from .walk import WalkConfig, estimate_green
+from .records import CSV_SCHEMA_COMMENT, GreenParams, GreenValue, OutputRecord, _fmt
+
+# Library names the commands call, and the submodule that defines each.  The
+# module ``__getattr__`` below resolves them on each use (PEP 562), so a
+# command imports only the modules it runs: ``norm``, ``ball`` and
+# ``eval --method mc`` load no scipy, and usage errors load no numpy.  The
+# commands look them up as ``_self.<name>``, so a name set on this module
+# (by a test or a tracer) wins.
+_LAZY = {
+    "green_bessel": ".lattice",
+    "green_d1_closed": ".lattice",
+    "green_fourier_oracle": ".lattice",
+    "critical_estimate": ".asymptotics",
+    "gbar_curve": ".asymptotics",
+    "oz_estimate": ".asymptotics",
+    "oz_isotropic_estimate": ".asymptotics",
+    "uniform_bound_check": ".asymptotics",
+    "a_norm": ".norm",
+    "mass": ".norm",
+    "u_scale": ".norm",
+    "unit_ball_rows": ".norm",
+    "estimate_green": ".walk",
+    "_check_rel_tol": ".quadrature",
+}
+
+
+def __getattr__(name):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(module, __package__), name)
+
+
+# this module, also when it runs as ``__main__`` under ``python -m``
+_self = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATED = 1
@@ -80,7 +100,7 @@ def _rel_tol(args, parser):
         except ValueError:
             msg = f"{parser.prog}: error: {_REL_TOL_ENV}={raw!r} is not a number\n"
             parser.exit(EXIT_USAGE, msg)
-    _check_rel_tol(rel_tol)
+    _self._check_rel_tol(rel_tol)
     return rel_tol
 
 
@@ -143,21 +163,23 @@ def _cmd_eval(args, parser):
         if len(xs) != args.d:
             parser.error(f"--x {xs} does not have {args.d} coordinates")
     if args.method == "mc":
+        from . import walk
+
         # one ensemble for every point: the draws do not depend on the window
         box = max(3, max(abs(c) for xs in args.x for c in xs))
-        wcfg = WalkConfig(
+        wcfg = walk.WalkConfig(
             d=args.d, a=args.a, n_walks=args.walks, seed=args.seed, max_box=box
         )
         tallies = walk.run_killed_walks(wcfg)
     for xs in args.x:
         if args.method == "bessel":
-            gv = green_bessel(GreenParams(args.d, args.a, args.q), xs, rel_tol)
+            gv = _self.green_bessel(GreenParams(args.d, args.a, args.q), xs, rel_tol)
         elif args.method == "fourier":
-            gv = green_fourier_oracle(GreenParams(args.d, args.a, args.q), xs)
+            gv = _self.green_fourier_oracle(GreenParams(args.d, args.a, args.q), xs)
         elif args.method == "closed-d1":
-            gv = green_d1_closed(args.a, int(args.q), xs[0])
+            gv = _self.green_d1_closed(args.a, int(args.q), xs[0])
         else:
-            est_v = estimate_green(wcfg, xs, tallies)
+            est_v = _self.estimate_green(wcfg, xs, tallies)
             log_mean = math.log(est_v.mean) if est_v.mean > 0 else -math.inf
             gv = GreenValue(est_v.mean, log_mean, est_v.std_err, "monte_carlo")
         out.add_record(
@@ -179,15 +201,17 @@ def _cmd_eval(args, parser):
 
 
 def _cmd_norm(args, parser):
+    import numpy as np
+
     out = _Output(args)
     header = ["d", "a", "x", "m_a", "u", "norm", "l2", "l1", "sandwich_ok"]
     for xs in args.x:
         if len(xs) != args.d:
             parser.error(f"--x {xs} does not have {args.d} coordinates")
         vec = np.asarray(xs, dtype=float)
-        m = mass(args.d, args.a)
-        nrm = a_norm(vec, args.d, args.a)
-        u = u_scale(vec, args.d, args.a) if np.any(vec != 0.0) else None
+        m = _self.mass(args.d, args.a)
+        nrm = _self.a_norm(vec, args.d, args.a)
+        u = _self.u_scale(vec, args.d, args.a) if np.any(vec != 0.0) else None
         l2 = math.hypot(*vec)
         l1 = float(np.sum(np.abs(vec)))
         ok = l2 * (1.0 - 1e-12) <= nrm <= l1 * (1.0 + 1e-12)
@@ -205,7 +229,7 @@ def _cmd_ball(args, parser):
         header = ["theta", "x1", "x2"]
     else:
         header = ["theta", "phi", "x1", "x2", "x3"]
-    for angles, point in unit_ball_rows(args.d, args.a, args.points):
+    for angles, point in _self.unit_ball_rows(args.d, args.a, args.points):
         out.add_row(header, [*(float(t) for t in angles), *(float(c) for c in point)])
     out.emit()
     return EXIT_OK
@@ -231,15 +255,15 @@ def _cmd_asy(args, parser):
         p = GreenParams(args.d, a_n, args.q)
         nx = [int(c) * n for c in xs]
         if args.d == 1 and args.q.is_integer() and a_n > 0:
-            exact = green_d1_closed(a_n, int(args.q), nx[0])
+            exact = _self.green_d1_closed(a_n, int(args.q), nx[0])
         else:
-            exact = green_bessel(p, nx, rel_tol)
+            exact = _self.green_bessel(p, nx, rel_tol)
         estimates = []
         if args.a is not None:
-            estimates.append(oz_estimate(p, xs, n))
-            estimates.append(oz_isotropic_estimate(p, xs, n))
+            estimates.append(_self.oz_estimate(p, xs, n))
+            estimates.append(_self.oz_isotropic_estimate(p, xs, n))
         else:
-            estimates.append(critical_estimate(p, xs, n, args.s))
+            estimates.append(_self.critical_estimate(p, xs, n, args.s))
         for est in estimates:
             ratio = math.exp(exact.log_value - est.log_value)
             out.add_row(
@@ -262,6 +286,8 @@ def _cmd_gbar(args, parser):
         parser.error("--a-list must be nonempty")
     if len(args.x) != args.d:
         parser.error(f"--x does not have {args.d} coordinates")
+    import numpy as np
+
     out = _Output(args)
     header = [
         "a", "y", "gbar", "hbar", "gbar_d2_at_1",
@@ -269,7 +295,7 @@ def _cmd_gbar(args, parser):
     ]
     y_grid = np.linspace(lo, hi, args.y_steps)
     for a in args.a_list:
-        rows = gbar_curve(args.d, a, args.x, y_grid)
+        rows = _self.gbar_curve(args.d, a, args.x, y_grid)
         values = np.array([r.gbar for r in rows])
         i_min = int(np.argmin(values))
         convex = bool(np.all(np.diff(values, 2) >= -1e-12))
@@ -288,7 +314,7 @@ def _cmd_gbar(args, parser):
 def _cmd_bound(args, parser):
     if not (0.0 < args.kappa < 1.0):
         parser.error("--kappa must lie in (0, 1)")
-    report = uniform_bound_check(
+    report = _self.uniform_bound_check(
         args.d, args.q, args.kappa, args.kappa1, args.a_grid, args.box
     )
     out = _Output(args)

@@ -21,15 +21,15 @@
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, roots_jacobi, roots_legendre
 
-from .errors import AccuracyError, DivergenceError, DomainError, UnsupportedError
+from .errors import AccuracyError, DomainError, UnsupportedError
 from .norm import mass, u_scale
 from .quadrature import _log_sum_exp, log_integral_semi_infinite
+from .records import GreenParams, GreenValue
 from .special import log_scaled_bessel_i
 
 __all__ = [
@@ -41,63 +41,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GreenParams:
-    """Dimension, killing strength, and resolvent exponent."""
-
-    d: int
-    a: float
-    q: float
-
-    def __post_init__(self):
-        if int(self.d) != self.d or self.d < 1:
-            raise DomainError("d must be an integer >= 1")
-        if not np.isfinite(self.a) or self.a < 0.0:
-            raise DomainError("a must be finite and >= 0")
-        if not np.isfinite(self.q) or self.q <= 0.0:
-            raise DomainError("q must be finite and > 0")
-
-    def check_finite(self):
-        """Raise if the Green function diverges for these parameters."""
-        if self.a == 0.0 and self.d <= 2.0 * self.q:
-            raise DivergenceError(
-                f"massless Green function diverges for d={self.d} <= 2q={2 * self.q}"
-            )
+# Coordinates must stay below 2**53: past it an integer is no longer exact
+# as a float (the Bessel order), and past 2**63 it no longer fits an int64.
+_MAX_COORDINATE = 2**53
 
 
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
-_LOG_VALUE_FLOOR = math.log(1e-300)
-
-
-@dataclass(frozen=True)
-class GreenValue:
-    """A Green-function evaluation with its log-space twin and error estimate.
-
-    ``value`` is ``exp(log_value)`` (0.0 below ``_LOG_VALUE_FLOOR``, the log
-    of 1e-300; ``AccuracyError`` once it overflows a float);
-    ``est_error`` is an absolute error estimate on the same scale as
-    ``value``.
-    """
-
-    value: float
-    log_value: float
-    est_error: float
-    method: str
-
-    @classmethod
-    def from_log(cls, log_value, rel_error, method):
-        log_value = float(log_value)
-        if log_value > _LOG_FLOAT_MAX:
-            raise AccuracyError(
-                f"value exp({log_value:.6g}) overflows a float", best=log_value
-            )
-        value = math.exp(log_value) if log_value > _LOG_VALUE_FLOOR else 0.0
-        return cls(
-            value=value,
-            log_value=log_value,
-            est_error=float(abs(rel_error)) * value,
-            method=method,
-        )
+def _check_coordinate_size(x):
+    """Refuse ``|x_j| >= 2**53`` in the array ``x``, before any cast; the
+    comparison is on Python numbers, so no int64 wraps first."""
+    if any(abs(c) >= _MAX_COORDINATE for c in x.ravel().tolist()):
+        raise DomainError("lattice coordinates must satisfy |x_j| < 2**53")
 
 
 def _check_lattice_point(x, d):
@@ -106,6 +59,7 @@ def _check_lattice_point(x, d):
         x = x[None]
     if x.shape != (d,):
         raise DomainError(f"x must be a length-{d} vector, got shape {x.shape}")
+    _check_coordinate_size(x)
     if not np.all(x == np.round(x)):
         raise DomainError("x must have integer coordinates")
     return np.abs(x.astype(np.int64))
@@ -123,7 +77,8 @@ def green_bessel(p, x, rel_tol=1e-11):
     ----------
     p : GreenParams
     x : sequence of int
-        Lattice point, length ``p.d``.  Only ``|x_j|`` matters.
+        Lattice point, length ``p.d``, each ``|x_j| < 2**53``.  Only ``|x_j|``
+        matters.
     rel_tol : float
         Target relative error, in (0, 1e-6]; ``ConfigError`` otherwise.
 
@@ -163,8 +118,8 @@ def green_d1_closed(a, q, x):
     point.  For q = 1 it collapses to ``exp(-m|x|)/sinh(m)`` with
     ``m = arccosh(1+a^2)``.  The terms are summed in log space, each binomial
     as a running sum of the logs of its factor ratios, so neither large q
-    nor large |x| overflows.  q above ``_D1_CLOSED_MAX_Q`` is refused with
-    ``DomainError``.
+    nor large |x| overflows.  q above ``_D1_CLOSED_MAX_Q`` and
+    ``|x| >= 2**53`` are refused with ``DomainError``.
     """
     if not np.isfinite(a) or a <= 0.0:
         raise DomainError("a must be finite and > 0")
@@ -173,7 +128,9 @@ def green_d1_closed(a, q, x):
     if q > _D1_CLOSED_MAX_Q:
         raise DomainError(f"closed form sums q terms; q must be <= {_D1_CLOSED_MAX_Q}")
     q = int(q)
-    x = int(abs(np.asarray(x).item()))
+    x = np.asarray(x)
+    _check_coordinate_size(x)
+    x = int(abs(x.item()))
     m = mass(1, a)
     log_sinh = m + math.log(-math.expm1(-2.0 * m)) - math.log(2.0)
     # term ell: C(x+q-1, q-1-ell) C(q-1+ell, ell) (exp(-m) / (2 sinh m))^ell

@@ -66,8 +66,10 @@ _UNIFORM_MIN_ORDER = 50.0
 # psi(t) takes arcsinh(1/t) in a form that cannot overflow below this t.
 _PSI_SMALL_T = 1e-300
 
-# Smallest normal float; Debye takes t / nu down to it.
+# Smallest normal float; Debye takes t / nu down to it, and the series
+# takes log(t / 2) as log(t) - log(2) where t / 2 is below it.
 _TINY = np.finfo(float).tiny
+_LOG_2 = float(np.log(2.0))
 
 # Debye polynomials u_k, coefficients highest degree first over one common
 # denominator (standard recurrence u_{k+1} = t^2(1-t^2)u_k'/2 +
@@ -172,7 +174,11 @@ def _series_log_ibar(nu, t):
     chunk = max(1, int(4e6) // n_terms)
     for start in range(0, len(t), chunk):
         ts = t[start : start + chunk]
-        log_half_t = np.log(0.5 * ts)
+        half_t = 0.5 * ts
+        # a subnormal t / 2 drops bits of t (all of them at 5e-324)
+        sub = half_t < _TINY
+        log_half_t = np.log(np.where(sub, ts, half_t))
+        log_half_t[sub] -= _LOG_2
         terms = (2.0 * k[:, None] + nu) * log_half_t[None, :] - log_fact[:, None]
         out[start : start + chunk] = _log_sum_exp(terms, axis=0) - ts
     return out

@@ -13,7 +13,6 @@ from latgreen import (
     REGIME_III,
     REGIME_IV,
     a_norm,
-    classify_regime,
     critical_estimate,
     gbar_curve,
     gbar_d2,
@@ -324,10 +323,3 @@ class TestNoUniformOzBound:
         assert max(ratios) > 10.0
         assert ratios == sorted(ratios)
 
-
-class TestClassifier:
-    def test_labels(self):
-        assert classify_regime(3, 1.0, 0.0, [1, 0, 0], 100) == REGIME_IV
-        assert classify_regime(3, 1.0, 1.0, [1, 0, 0], 100) == REGIME_I
-        assert classify_regime(3, 1.0, 0.01, [1, 0, 0], 10) == REGIME_III
-        assert classify_regime(2, 1.0, 0.01, [1, 1], 10**4) == REGIME_II

@@ -5,12 +5,17 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latgreen
 from latgreen import GreenParams, OutputRecord, green_bessel, mass
 from latgreen.cli import main
 
@@ -441,6 +446,16 @@ class TestRecordRoundTrip:
 
 
 class TestEvalGuards:
+    @pytest.mark.parametrize("method", ["bessel", "fourier", "closed-d1"])
+    @pytest.mark.parametrize("x", [str(2**53), str(-(2**53)), str(2**63), str(2**64)])
+    def test_coordinate_past_2_53_exits_2(self, capsys, method, x):
+        code, out, err = run_cli(
+            capsys, "eval", "--d", "1", "--a", "1", "--q", "1", "--x", x,
+            "--method", method,
+        )
+        assert (code, out) == (2, "")
+        assert err == "latgreen: lattice coordinates must satisfy |x_j| < 2**53\n"
+
     def test_closed_d1_large_exponent(self, capsys):
         code, out, err = run_cli(
             capsys, "eval", "--d", "1", "--a", "1", "--q", "1000",
@@ -483,17 +498,115 @@ class TestEvalGuards:
         assert rec.value == pytest.approx(lib.value, rel=1e-9)
 
 
+def _fresh_python(*args, env=None):
+    """Run ``python *args`` in a fresh interpreter that imports this latgreen."""
+    src = os.path.dirname(os.path.dirname(latgreen.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=60,
+        env={**os.environ, **(env or {}), "PYTHONPATH": path},
+    )
+
+
+# Runs main(argv) and prints which of numpy and scipy it loaded.
+_LOADED_BY_MAIN = """
+import contextlib, io, json, sys
+from latgreen.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        main(sys.argv[1:])
+    except SystemExit:
+        pass
+print(json.dumps(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})))
+"""
+
+_EVAL_BESSEL = ["eval", "--d", "1", "--a", "1", "--q", "1", "--x", "1", "--method", "bessel"]
+
+
+def _in_process(argv, env=None):
+    """Exit code, stdout and stderr of ``main(argv)`` in this process, with
+    ``env`` added to the environment."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with np.errstate(all="ignore"), mock.patch.dict(os.environ, env or {}):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestImport:
     def test_no_fft_import(self):
-        import subprocess
-        import sys
-
         code = "import sys, latgreen; print('scipy.fft' in sys.modules)"
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
-        )
+        done = _fresh_python("-c", code)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
+
+    def test_package_import_loads_no_numpy(self):
+        code = "import sys, latgreen; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+        done = _fresh_python("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "argv, env, loaded",
+        [
+            (["norm", "--d", "3", "--a", "0.5", "--x", "1,2,0"], {}, ["numpy"]),
+            (["ball", "--d", "3", "--a", "1.0", "--points", "48"], {}, ["numpy"]),
+            (["eval", "--d", "3", "--a", "0.3", "--q", "1", "--method", "mc",
+              "--walks", "100", "--x", "1,0,0"], {}, ["numpy"]),
+            (["norm", "--d", "3", "--a", "-0.5", "--x", "1,0,0"], {}, ["numpy"]),
+            (["eval", "--d", "2", "--a", "1", "--q", "1", "--x", "1,1",
+              "--method", "closed-d1"], {}, []),
+            (["eval", "--d", "3", "--a", "1", "--q", "1", "--method", "bessel"], {}, []),
+            (_EVAL_BESSEL, {"LATGREEN_REL_TOL": "abc"}, []),
+            (_EVAL_BESSEL, {}, ["numpy", "scipy"]),
+        ],
+        ids=["norm", "ball", "eval-mc", "norm-domain-error", "usage-error",
+             "missing-flag", "malformed-env", "eval-bessel"],
+    )
+    def test_command_loads_only_what_it_runs(self, argv, env, loaded):
+        done = _fresh_python("-c", _LOADED_BY_MAIN, *argv, env=env)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == loaded
+
+    def test_every_public_name_resolves(self):
+        for name in latgreen.__all__:
+            assert getattr(latgreen, name) is not None, name
+        assert set(latgreen.__all__) <= set(dir(latgreen))
+        with pytest.raises(AttributeError):
+            getattr(latgreen, "no_such_name")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--d", "1", "--a", "1", "--q", "2", "--x", "3", "--method", "closed-d1"],
+            ["eval", "--d", "1", "--a", "1", "--q", "1", "--x", str(2**64),
+             "--method", "bessel"],
+            ["norm", "--d", "2", "--a", "0.7", "--x", "1,0", "--json"],
+            ["norm", "--d", "2", "--a", "0", "--x", "1,0"],
+            ["ball", "--d", "2", "--a", "1", "--points", "8"],
+            ["ball", "--d", "4", "--a", "1", "--points", "8"],
+            ["asy", "--d", "1", "--q", "1", "--x", "1", "--a", "1", "--n-list", "1,2"],
+            ["asy", "--d", "1", "--q", "1", "--x", "1", "--a", "1", "--s", "1",
+             "--n-list", "1"],
+            ["gbar", "--d", "2", "--x", "1,0", "--a-list", "0.5", "--y-range", "0.5:2",
+             "--y-steps", "3"],
+            ["gbar", "--d", "1", "--x", "1", "--a-list", "1", "--y-range", "0.5:1:2",
+             "--y-steps", "5"],
+            ["bound", "--d", "3", "--q", "1", "--kappa", "0.3", "--kappa1", "1",
+             "--a-grid", "0.3", "--box", "1"],
+            ["bound", "--d", "3", "--q", "1", "--kappa", "0.5", "--kappa1", "0.01",
+             "--a-grid", "0.25", "--box", "2"],
+        ],
+        ids=["eval-ok", "eval-domain", "norm-ok", "norm-domain", "ball-ok",
+             "ball-usage", "asy-ok", "asy-usage", "gbar-ok", "gbar-usage", "bound-ok",
+             "bound-violated"],
+    )
+    def test_module_run_matches_main(self, argv):
+        done = _fresh_python("-m", "latgreen.cli", *argv)
+        assert (done.returncode, done.stdout, done.stderr) == _in_process(argv)
 
 
 class TestEnvironment:
@@ -645,11 +758,29 @@ class TestAccuracyExitCode:
 
 
 _NUMBER_TEXT = ["0", "1e-300", "1e300", "nan", "inf", "-inf", "-1", "0.3", "1", "2.5"]
+# The largest coordinate inside the 2**53 bound, and four past it: the int64
+# extremes and 2**64, which no int64 holds.
+_HUGE_COORDINATES = [str(2**53 - 1), str(2**53), str(-(2**63)), str(2**63 - 2), str(2**64)]
 
 
 @st.composite
 def _argv(draw):
-    """argv for eval (bessel, closed-d1, mc), norm, asy and ball; small inputs.
+    """(argv, environment) for eval, norm, asy and ball, as drawn by
+    ``_command_argv``, with an optional ``--json``, an optional
+    ``--out {out}`` (the test fills in the path) and an optional
+    ``LATGREEN_REL_TOL``."""
+    argv = draw(_command_argv())
+    argv += draw(st.sampled_from([[], ["--json"]]))
+    argv += draw(st.sampled_from([[], ["--out", "{out}"]]))
+    rel_tol = st.sampled_from([*_NUMBER_TEXT, "abc"])
+    env = draw(st.one_of(st.just({}), rel_tol.map(lambda r: {"LATGREEN_REL_TOL": r})))
+    return argv, env
+
+
+@st.composite
+def _command_argv(draw):
+    """argv for eval (bessel, closed-d1, mc), norm, asy and ball; small inputs,
+    and huge eval coordinates.
 
     eval and asy may carry a ``--rel-tol``.
     """
@@ -662,16 +793,19 @@ def _argv(draw):
     coord = st.integers(min_value=-20, max_value=20).map(str)
     if command == "norm":
         coord = st.one_of(coord, st.sampled_from(["nan", "inf", "0.5", "-1e-300"]))
-    x = ",".join(draw(st.lists(coord, min_size=max(d, 1), max_size=max(d, 1) + 1)))
+    if command == "eval":
+        coord = st.one_of(coord, st.sampled_from(_HUGE_COORDINATES))
+    # "--x=" keeps argparse from taking a leading minus sign for a flag
+    x = "--x=" + ",".join(draw(st.lists(coord, min_size=max(d, 1), max_size=max(d, 1) + 1)))
     if command == "norm":
-        return ["norm", "--d", str(d), "--a", a, "--x", x]
+        return ["norm", "--d", str(d), "--a", a, x]
     q = draw(st.sampled_from(["0", "0.5", "1", "2", "nan", "inf", "-1"]))
     rel_tol = st.one_of(
         st.just([]), st.sampled_from(_NUMBER_TEXT).map(lambda r: [f"--rel-tol={r}"])
     )
     if command == "eval":
         method = draw(st.sampled_from(["bessel", "closed-d1", "mc"]))
-        argv = ["eval", "--d", str(d), "--a", a, "--q", q, "--x", x, "--method", method]
+        argv = ["eval", "--d", str(d), "--a", a, "--q", q, x, "--method", method]
         if method == "closed-d1":
             big_q = draw(st.sampled_from([q, "1000", "10000", "10001", "1e300"]))
             argv[argv.index("--q") + 1] = big_q
@@ -683,7 +817,7 @@ def _argv(draw):
     n_list = ",".join(draw(st.lists(st.sampled_from(["0", "1", "2", "-1"]),
                                     min_size=1, max_size=2)))
     mode = draw(st.sampled_from([["--a", a], ["--s", a]]))
-    argv = ["asy", "--d", str(d), "--q", q, "--x", x, *mode, "--n-list", n_list]
+    argv = ["asy", "--d", str(d), "--q", q, x, *mode, "--n-list", n_list]
     return argv + draw(rel_tol)
 
 
@@ -720,29 +854,30 @@ def _argv_sweeps(draw):
             "--method", "fourier"]
 
 
-def _exit_code_and_stdout(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        with np.errstate(all="ignore"):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse usage errors
-                code = exc.code
-    return code, out.getvalue()
-
-
-def _assert_in_contract(argv):
-    code, out = _exit_code_and_stdout(argv)
-    assert code in (0, 1, 2, 3, 64), argv
+def _assert_in_contract(argv, env=None, out_path=None):
+    if out_path is not None:
+        out_path.unlink(missing_ok=True)
+        argv = [str(out_path) if arg == "{out}" else arg for arg in argv]
+    code, out, _ = _in_process(argv, env)
+    assert code in (0, 1, 2, 3, 64), (argv, env)
     if code == 0:
-        assert "nan" not in out, argv
+        if out_path is not None and out_path.exists():
+            assert out == "", argv
+            out = out_path.read_text()
+        assert "nan" not in out and "NaN" not in out, (argv, env)
+
+
+@pytest.fixture(scope="class")
+def out_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "out.txt"
 
 
 class TestErrorContractFuzz:
-    @given(argv=_argv())
+    @given(case=_argv())
     @settings(max_examples=150, deadline=None)
-    def test_exit_code_in_contract(self, argv):
-        _assert_in_contract(argv)
+    def test_exit_code_in_contract(self, case, out_path):
+        argv, env = case
+        _assert_in_contract(argv, env, out_path)
 
     @given(argv=_argv_sweeps())
     @settings(max_examples=150, deadline=None)
@@ -777,8 +912,18 @@ class TestErrorContractFuzz:
               "--a-grid", "0.3", "--box", "1", "--out", "{tmp}"], 64),
             (["bound", "--d", "3", "--q", "1", "--kappa", "0.3", "--kappa1", "1",
               "--a-grid", "0.3", "--box", "1", "--out", "{tmp}/missing/out.csv"], 64),
+            # a coordinate of 2**64 made np.round fail on an object array: an
+            # untyped TypeError, exit 1
+            (["eval", "--d", "1", "--a", "1", "--q", "1", "--x", str(2**64),
+              "--method", "bessel"], 2),
+            # 2**63 wrapped in the int64 cast and was refused as a bad order
+            (["eval", "--d", "1", "--a", "1", "--q", "1", "--x", str(2**63),
+              "--method", "bessel"], 2),
+            # x + q - i overflowed int64 in the closed form: OverflowError, exit 1
+            (["eval", "--d", "1", "--a", "1", "--q", "2", "--x", str(2**63 - 2),
+              "--method", "closed-d1"], 2),
         ],
     )
     def test_found_cases(self, argv, want, tmp_path):
         argv = [arg.format(tmp=tmp_path) for arg in argv]
-        assert _exit_code_and_stdout(argv) == (want, "")
+        assert _in_process(argv)[:2] == (want, "")

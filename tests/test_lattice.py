@@ -104,6 +104,28 @@ class TestGreenBessel:
             assert np.all(np.diff(vals) < 0.0)
 
 
+class TestCoordinateBound:
+    @pytest.mark.parametrize(
+        "x", [2**53, -(2**53), 2**63, -(2**63), 2**64, np.uint64(2**63), math.inf]
+    )
+    def test_refused_before_any_cast(self, x):
+        p = GreenParams(1, 1.0, 1.0)
+        for route in (
+            lambda: green_bessel(p, [x]),
+            lambda: green_fourier_oracle(p, [x]),
+            lambda: green_d1_closed(1.0, 2, x),
+        ):
+            with pytest.raises(DomainError, match="2\\*\\*53"):
+                route()
+
+    def test_largest_coordinate_accepted(self):
+        # q = 1: G = exp(-m x) / sinh(m)
+        x, m = 2**53 - 1, mass(1, 1.0)
+        gv = green_d1_closed(1.0, 1, x)
+        assert gv.value == 0.0
+        assert gv.log_value == pytest.approx(-m * x - math.log(math.sinh(m)), rel=1e-15)
+
+
 class TestClosedFormD1:
     def test_overflowing_value_is_refused(self):
         # the mass of a = 1e-300 is 1.4e-300, so G ~ m^-3 lies past exp(709.8)

@@ -225,6 +225,15 @@ class TestDispatchReferee:
         got = log_scaled_bessel_i(nu, t)
         assert abs(got - want) <= 1e-15 * abs(want), (got, want)
 
+    @pytest.mark.parametrize(
+        "nu, want", [(1, -745.1332191019412), (60, -44896.621319540144)]
+    )
+    def test_smallest_subnormal_argument(self, nu, want):
+        # t / 2 rounds to 0 at t = 5e-324, so the series must not take its
+        # log; the values are 40-digit mpmath
+        got = log_scaled_bessel_i(nu, 5e-324)
+        assert abs(got - want) <= 1e-15 * abs(want), (got, want)
+
     @pytest.mark.parametrize("t", [1e10, 1e15, 1e26, 1e300])
     def test_half_integer_closed_forms_past_ive_range(self, t):
         # I_{1/2} = sqrt(2/(pi t)) sinh t, I_{3/2} = sqrt(2/(pi t)) (cosh t -
