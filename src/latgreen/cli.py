@@ -21,6 +21,7 @@ import importlib
 import json
 import math
 import os
+import re
 import sys
 
 from .errors import AccuracyError, DomainError, LatticeGreenError
@@ -71,7 +72,15 @@ _REL_TOL_ENV = "LATGREEN_REL_TOL"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the usage-error exit code pinned to 64."""
+    """argparse with the usage-error exit code pinned to 64.
+
+    An argument that starts with a minus sign and a digit is a value, not a
+    flag, so ``--x -1,0`` reads as a comma list.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

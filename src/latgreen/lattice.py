@@ -8,13 +8,13 @@
 
 ``green_fourier_oracle``
     Direct tensor-product quadrature of the defining Fourier integral over
-    the torus (periodic trapezoid rule, spectrally accurate for positive
-    killing).  The weights are even in every axis, so they live on one
-    orthant of the grid; far points use a contour shifted into the complex
-    plane, summed on the part of the grid its symmetries leave.  The
-    massless case subtracts a smoothly windowed copy of the singular part
-    and integrates it in polar coordinates, with its own radial-rule error
-    term.  Restricted to d <= 3; exists purely as a cross-check.
+    the torus (trapezoid rule, spectrally accurate for positive killing), by
+    one driver on the contour ``k + i theta``: ``theta = 0`` is the periodic
+    sum, and far points shift it into the complex plane.  The sum runs on
+    the part of the grid its symmetries leave.  The massless case subtracts
+    a smoothly windowed copy of the singular part and integrates it in polar
+    coordinates, with its own radial-rule error term.  Restricted to d <= 3;
+    exists purely as a cross-check.
 
 ``green_d1_closed``
     Exact finite sum for d = 1 and integer exponent.
@@ -28,7 +28,7 @@ from scipy.special import gammaln, roots_jacobi, roots_legendre
 
 from .errors import AccuracyError, DomainError, UnsupportedError
 from .norm import mass, u_scale
-from .quadrature import _log_sum_exp, log_integral_semi_infinite
+from .quadrature import _LOOSEST_REL_TOL, _log_sum_exp, log_integral_semi_infinite
 from .records import GreenParams, GreenValue
 from .special import log_scaled_bessel_i
 
@@ -85,7 +85,11 @@ def green_bessel(p, x, rel_tol=1e-11):
     Returns
     -------
     GreenValue
-        ``method="bessel_rep"``; ``est_error <= rel_tol * value``.
+        ``method="bessel_rep"``; ``est_error <= max(rel_tol, 8 eps |log_value|)
+        * value``: a log cannot resolve differences below its own rounding,
+        so past ``|log_value|`` of about 5.6e3 that floor sets the estimate.
+        Where it exceeds 1e-6, the loosest ``rel_tol`` (``|log_value|`` past
+        about 5.6e8), the node doubling is not trusted: ``AccuracyError``.
     """
     p.check_finite()
     orders = _check_lattice_point(x, p.d)
@@ -104,6 +108,9 @@ def green_bessel(p, x, rel_tol=1e-11):
         return acc
 
     log_val, rel_err = log_integral_semi_infinite(log_f, rel_tol)
+    if rel_err > _LOOSEST_REL_TOL:
+        raise AccuracyError(f"log value {log_val:.6g} is too large to resolve "
+                            f"(estimate {rel_err:.3g})", best=log_val, est_error=rel_err)
     return GreenValue.from_log(log_val, rel_err, "bessel_rep")
 
 
@@ -155,7 +162,7 @@ _RADIAL_NODES = 90
 _SPHERE_POLAR = 60
 _SPHERE_AZIMUTH = 120
 # Largest n^d grid, as bytes of complex128, that the oracle may build.  The
-# arrays actually built (the orthant weights, the reduced shifted grid and
+# arrays `_torus_sum` actually builds (the orthant or reduced weights, and
 # the full n/4 check grid) are smaller than this bound; the acceptance grid
 # needs at most n = 256 in d = 3.
 _FOURIER_GRID_BYTES = 2 ** 29
@@ -268,75 +275,57 @@ def _torus_weight(d, a, q, n):
     return weight, float(total) / n ** d
 
 
-def _torus_sum_shifted(d, a, q, x_abs, theta, n, check_imag=False):
-    """Trapezoid sum along the shifted contour ``k -> k + i theta``.
+def _torus_sum(d, a, q, x_abs, theta, n, check_imag=False):
+    """Trapezoid sum of the defining integrand on the n^d contour ``k + i theta``.
 
-    Shifting each axis into the complex plane extracts the exponential decay
-    ``exp(-sum_j theta_j x_j)`` analytically, so the returned sum S has
-    moderate cancellation even when the Green function itself is tiny.  The
-    real part of the shifted symbol stays positive as long as
-    ``mean_j cosh(theta_j) < 1 + a^2``, which the caller guarantees by
-    undershooting the saddle shift.
+    Shifting an axis extracts the decay ``exp(-theta_j x_j)`` analytically, so
+    the sum S has moderate cancellation even when the Green function is tiny;
+    ``theta = 0`` is the periodic sum.  The shifted symbol keeps a positive
+    real part while ``mean_j cosh(theta_j) < 1 + a^2``, which the caller
+    guarantees by undershooting the saddle shift.
 
-    The sum runs on a reduced grid.  An axis with ``theta_j = 0`` (there
-    ``x_j = 0``) is even, so it folds onto its half range.  The summand is
-    Hermitian under ``k -> -k``, so the first remaining axis also runs on
-    its half range and only the real part is kept.  With ``check_imag`` the
-    full n^d complex sum is formed instead, so that its imaginary part can
-    be verified.
+    The sum runs on the part of the grid its symmetries leave.  An axis with
+    ``theta_j = 0`` is even: it runs on its half range with phase
+    ``mult * cos(k x_j)``.  The summand is Hermitian under ``k -> -k``, so the
+    first shifted axis runs on its half range too and only the real part is
+    kept; every other shifted axis, and with ``check_imag`` every axis, runs
+    on the full grid with phase ``exp(i k x_j)``.  Without a shifted axis the
+    weights are the cached orthant of `_torus_weight`, mirrored onto the full
+    grid for the check; otherwise they are built per axis.
 
-    Returns (S, scale): the value is ``exp(-theta . x) * Re S``.  With
-    ``check_imag`` scale is the mean magnitude of the weights, else None.
+    Returns (S, scale): the value is ``exp(-theta . x) * Re S``, with S
+    complex under ``check_imag``, else real.  scale is the mean weight
+    magnitude over the whole grid, None for a shifted sum without the check.
     """
-    k = 2.0 * np.pi * np.arange(n) / n
+    shifted = [j for j in range(d) if theta[j] != 0.0]
     half, mult = _half_range(n)
-    hermitian = None if check_imag else next(j for j in range(d) if theta[j] != 0.0)
-    shape = [1] * d
-    denom = a * a + 1.0
-    phases = []
-    for axis in range(d):
-        nodes, m = k, 1.0
-        if not check_imag and (theta[axis] == 0.0 or axis == hermitian):
-            nodes, m = half, mult
-        shape_axis = shape.copy()
-        shape_axis[axis] = nodes.size
-        part = np.cosh(theta[axis]) * np.cos(nodes) - 1j * np.sinh(theta[axis]) * np.sin(nodes)
-        denom = denom - part.reshape(shape_axis) / d
-        phases.append(m * np.exp(1j * nodes * x_abs[axis]))
-    weight = _inv_power(denom, q)
+    k = 2.0 * np.pi * np.arange(n) / n if check_imag or len(shifted) > 1 else None
+    axes, phases = [], []
+    for axis, xj in enumerate(x_abs):
+        if check_imag or axis in shifted[1:]:
+            axes.append(k)
+            phases.append(np.exp(1j * k * xj))
+        else:
+            axes.append(half)
+            phases.append(mult * (np.exp(1j * half * xj) if theta[axis] else np.cos(half * xj)))
+    if shifted:
+        denom = a * a + 1.0
+        parts = [np.cosh(t) * np.cos(nodes) - 1j * np.sinh(t) * np.sin(nodes)
+                 for t, nodes in zip(theta, axes)]
+        for part in np.ix_(*parts):
+            denom = denom - part / d
+        weight = _inv_power(denom, q)
+        scale = float(np.mean(np.abs(weight))) if check_imag else None
+    else:
+        weight, scale = _torus_weight(d, a, q, n)
+        if check_imag:
+            j = np.arange(n)
+            weight = weight[np.ix_(*[np.minimum(j, n - j)] * d)]
     acc = weight
     for phase in reversed(phases):
         acc = acc @ phase
     s = acc / n ** d
-    if check_imag:
-        return s, float(np.mean(np.abs(weight)))
-    return s.real, None
-
-
-def _torus_sum(d, a, q, x, n, check_imag=False):
-    """Periodic trapezoid sum of the defining integrand on an n^d grid.
-
-    The weights are even in every axis, so the sum is real; it is computed by
-    contracting the orthant weights with per-axis ``mult * cos(k x_j)``
-    vectors.  With ``check_imag`` the orthant is mirrored onto the full grid
-    and the complex-phase sum formed instead, so that its imaginary part can
-    be verified.
-
-    Returns (S, scale): S is complex with ``check_imag``, else real, and
-    scale is the mean weight over the whole grid.
-    """
-    weight, scale = _torus_weight(d, a, q, n)
-    if check_imag:
-        j = np.arange(n)
-        acc = weight[np.ix_(*[np.minimum(j, n - j)] * d)]
-        for xj in reversed(list(x)):
-            acc = acc @ np.exp(2j * np.pi * j * xj / n)
-        return complex(acc) / n ** d, scale
-    k, mult = _half_range(n)
-    acc = weight
-    for xj in reversed(list(x)):
-        acc = acc @ (mult * np.cos(k * xj))
-    return float(acc) / n ** d, scale
+    return (complex(s) if check_imag else float(s.real)), scale
 
 
 @lru_cache(maxsize=8)
@@ -399,14 +388,12 @@ def green_fourier_oracle(p, x):
       shift, extracting the exponential decay analytically instead of
       letting it emerge from float cancellation.
 
-    Only the work the symmetries leave is done.  The periodic weights are
-    even in every axis, so they are built, cached and summed on the
-    ``(n/2+1)^d`` orthant.  The shifted sum folds the axes where
-    ``x_j = 0`` and uses the ``k -> -k`` Hermitian symmetry to halve one
-    more axis.  The trapezoid sum is formed at n/4, n/2 and n; at n/4 it is
-    formed on the full grid with complex phases, and its imaginary part is
-    verified to be below 1e-12 (relative to the mean weight magnitude)
-    before being discarded.
+    Both cases run through `_torus_sum`, with ``theta = 0`` when the
+    contour is not shifted, and it does only the work the symmetries leave.
+    The trapezoid sum is formed at n/4, n/2 and n; at n/4 it is formed on
+    the full grid with complex phases, and its imaginary part is verified to
+    be below 1e-12 (relative to the mean weight magnitude) before being
+    discarded.
 
     The error estimate is the sum of three terms: the trapezoid error
     extrapolated from the three grid sizes, a rounding floor of a few eps
@@ -436,8 +423,7 @@ def green_fourier_oracle(p, x):
     xv = np.asarray(x)
     x_abs = _check_lattice_point(xv, p.d)
 
-    theta = None
-    log_prefactor = 0.0
+    theta = np.zeros(p.d)
     if p.a > 0.0:
         m = mass(p.d, p.a)
         if np.any(x_abs != 0):
@@ -447,20 +433,13 @@ def green_fourier_oracle(p, x):
             if exponent > 4.0:
                 delta = min(0.5, 3.0 / exponent)
                 theta = (1.0 - delta) * saddle
-                log_prefactor = -float(theta @ x_abs)
         # image terms decay like exp(-m (n - 2 |x|_inf))
         need = (-math.log(max(_FOURIER_REL_TOL, 1e-15)) + 8.0) / m + 2.0 * np.max(x_abs)
         auto = int(2 ** math.ceil(math.log2(max(need, 64.0))))
-        sizes = (auto, 2 * auto) if theta is not None else (auto,)
+        sizes = (auto, 2 * auto) if theta.any() else (auto,)
     else:
         sizes = ({1: 4096, 2: 1024, 3: 192}[p.d],)
-
-    def evaluate(n, check_imag=False):
-        if theta is not None:
-            return _torus_sum_shifted(
-                p.d, p.a, p.q, x_abs, theta, n, check_imag=check_imag
-            )
-        return _torus_sum(p.d, p.a, p.q, x_abs, n, check_imag=check_imag)
+    log_prefactor = -float(theta @ x_abs)
 
     # The windowed singular part does not depend on n: integrate it once and
     # add its own error to the trapezoid estimate.
@@ -477,12 +456,12 @@ def green_fourier_oracle(p, x):
                 best=failure.best if failure else None,
                 est_error=failure.est_error if failure else float("nan"),
             )
-        s, scale = evaluate(n // 4, check_imag=True)
+        s, scale = _torus_sum(p.d, p.a, p.q, x_abs, theta, n // 4, check_imag=True)
         coarse2, im = s.real + polar, abs(s.imag)
         if im > 1e-12 * (scale + abs(coarse2)):
             raise AccuracyError(f"imaginary part {im} too large", best=coarse2)
-        coarse1 = evaluate(n // 2)[0] + polar
-        val = evaluate(n)[0] + polar
+        coarse1 = _torus_sum(p.d, p.a, p.q, x_abs, theta, n // 2)[0] + polar
+        val = _torus_sum(p.d, p.a, p.q, x_abs, theta, n)[0] + polar
         if val <= 0.0:
             failure = AccuracyError(
                 "Fourier sum returned a nonpositive value", best=val

@@ -42,10 +42,13 @@ _TAIL_DROP = 60.0
 # Largest trapezoid level; a refinement past it raises AccuracyError.
 _MAX_NODES = 200_000
 
+# Loosest relative tolerance a caller may ask for.
+_LOOSEST_REL_TOL = 1e-6
+
 
 def _check_rel_tol(rel_tol):
     """Raise ``ConfigError`` unless ``rel_tol`` lies in (0, 1e-6]."""
-    if not (0.0 < rel_tol <= 1e-6):
+    if not (0.0 < rel_tol <= _LOOSEST_REL_TOL):
         raise ConfigError("rel_tol must lie in (0, 1e-6]")
 
 

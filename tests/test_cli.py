@@ -795,17 +795,16 @@ def _command_argv(draw):
         coord = st.one_of(coord, st.sampled_from(["nan", "inf", "0.5", "-1e-300"]))
     if command == "eval":
         coord = st.one_of(coord, st.sampled_from(_HUGE_COORDINATES))
-    # "--x=" keeps argparse from taking a leading minus sign for a flag
-    x = "--x=" + ",".join(draw(st.lists(coord, min_size=max(d, 1), max_size=max(d, 1) + 1)))
+    x = ["--x", ",".join(draw(st.lists(coord, min_size=max(d, 1), max_size=max(d, 1) + 1)))]
     if command == "norm":
-        return ["norm", "--d", str(d), "--a", a, x]
+        return ["norm", "--d", str(d), "--a", a, *x]
     q = draw(st.sampled_from(["0", "0.5", "1", "2", "nan", "inf", "-1"]))
     rel_tol = st.one_of(
         st.just([]), st.sampled_from(_NUMBER_TEXT).map(lambda r: [f"--rel-tol={r}"])
     )
     if command == "eval":
         method = draw(st.sampled_from(["bessel", "closed-d1", "mc"]))
-        argv = ["eval", "--d", str(d), "--a", a, "--q", q, x, "--method", method]
+        argv = ["eval", "--d", str(d), "--a", a, "--q", q, *x, "--method", method]
         if method == "closed-d1":
             big_q = draw(st.sampled_from([q, "1000", "10000", "10001", "1e300"]))
             argv[argv.index("--q") + 1] = big_q
@@ -817,7 +816,7 @@ def _command_argv(draw):
     n_list = ",".join(draw(st.lists(st.sampled_from(["0", "1", "2", "-1"]),
                                     min_size=1, max_size=2)))
     mode = draw(st.sampled_from([["--a", a], ["--s", a]]))
-    argv = ["asy", "--d", str(d), "--q", q, x, *mode, "--n-list", n_list]
+    argv = ["asy", "--d", str(d), "--q", q, *x, *mode, "--n-list", n_list]
     return argv + draw(rel_tol)
 
 
@@ -922,8 +921,26 @@ class TestErrorContractFuzz:
             # x + q - i overflowed int64 in the closed form: OverflowError, exit 1
             (["eval", "--d", "1", "--a", "1", "--q", "2", "--x", str(2**63 - 2),
               "--method", "closed-d1"], 2),
+            # the log rounding floor accepted logs 2e7 and 1.2e5 off: exit 0
+            (["eval", "--d", "1", "--a", "1", "--q", "1", "--x", str(10**15),
+              "--method", "bessel"], 3),
+            (["eval", "--d", "1", "--a", "1", "--q", "1", "--x", str(2**53 - 1),
+              "--method", "bessel"], 3),
+            # argparse took a comma list with a leading minus sign for a flag
+            (["eval", "--d", "2", "--a", "1", "--q", "1", "--x", "-1,0",
+              "--method", "bessel"], 0),
         ],
     )
     def test_found_cases(self, argv, want, tmp_path):
         argv = [arg.format(tmp=tmp_path) for arg in argv]
-        assert _in_process(argv)[:2] == (want, "")
+        code, out, _ = _in_process(argv)
+        assert code == want
+        assert (out == "") == (want != 0)
+
+    def test_negative_comma_list_reads_as_value(self):
+        spaced = _in_process(["eval", "--d", "2", "--a", "1", "--q", "1",
+                              "--x", "-1,0", "--method", "bessel"])
+        joined = _in_process(["eval", "--d", "2", "--a", "1", "--q", "1",
+                              "--x=-1,0", "--method", "bessel"])
+        assert spaced == joined
+        assert spaced[0] == 0

@@ -91,6 +91,29 @@ class TestGreenBessel:
         with pytest.raises(DivergenceError):
             green_bessel(GreenParams(2, 0.0, 1.0), [1, 0])
 
+    def test_huge_orders_refused_or_within_estimate(self, monkeypatch):
+        # the node doubling's rounding floor once accepted a log 2e7 off at
+        # x = 1e15; the value underflows, so the relative estimate is taken
+        # from the quadrature
+        import latgreen.lattice as lat
+
+        inner, rel = lat.log_integral_semi_infinite, []
+
+        def spy(*args, **kwargs):
+            out = inner(*args, **kwargs)
+            rel.append(out[1])
+            return out
+
+        monkeypatch.setattr(lat, "log_integral_semi_infinite", spy)
+        p = GreenParams(1, 1.0, 1.0)
+        for x in [10**k for k in range(6, 16)] + [2**53 - 1]:
+            try:
+                gv = green_bessel(p, [x])
+            except AccuracyError:
+                continue
+            dev = abs(gv.log_value - green_d1_closed(1.0, 1, x).log_value)
+            assert dev <= rel[-1], x
+
     def test_non_integer_point_rejected(self):
         with pytest.raises(DomainError):
             green_bessel(GreenParams(2, 1.0, 1.0), [0.5, 1.0])
@@ -254,17 +277,15 @@ class TestFourierBudget:
         import latgreen.lattice as lat
 
         seen = []
-        # position of the grid size n after d in each function's arguments
-        for name, n_at in (("_torus_sum", 3), ("_torus_sum_shifted", 4)):
-            inner = getattr(lat, name)
+        inner = lat._torus_sum
 
-            def spy(d, *args, _inner=inner, _n_at=n_at, **kwargs):
-                n = args[_n_at]
-                assert n**d * 16 <= lat._FOURIER_GRID_BYTES
-                seen.append(n)
-                return _inner(d, *args, **kwargs)
+        def spy(d, *args, **kwargs):
+            n = args[4]  # grid size, after d, a, q, x_abs and theta
+            assert n**d * 16 <= lat._FOURIER_GRID_BYTES
+            seen.append(n)
+            return inner(d, *args, **kwargs)
 
-            monkeypatch.setattr(lat, name, spy)
+        monkeypatch.setattr(lat, "_torus_sum", spy)
         return seen
 
     def test_real_budget_refuses_huge_grid(self, grids):
@@ -326,7 +347,7 @@ class TestFourierReducedGrids:
                 shape[axis] = n
                 phase = phase * np.cos(k * xj).reshape(shape)
             want = float(np.sum(weight * phase)) / n**d
-            got, scale = lat._torus_sum(d, a, q, x, n)
+            got, scale = lat._torus_sum(d, a, q, x, np.zeros(d), n)
             assert got == pytest.approx(want, rel=1e-14), x
             assert scale == pytest.approx(weight.mean(), rel=1e-14)
 
@@ -339,9 +360,24 @@ class TestFourierReducedGrids:
 
         x = np.array(x)
         theta = np.where(x > 0, 0.4, 0.0)
-        folded, _ = lat._torus_sum_shifted(d, 1.0, q, x, theta, 32)
-        full, _ = lat._torus_sum_shifted(d, 1.0, q, x, theta, 32, check_imag=True)
+        folded, _ = lat._torus_sum(d, 1.0, q, x, theta, 32)
+        full, _ = lat._torus_sum(d, 1.0, q, x, theta, 32, check_imag=True)
         assert folded == pytest.approx(full.real, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "d, x", [(1, (3,)), (2, (4, 0)), (2, (3, 2)), (3, (4, 0, 0)), (3, (3, 2, 0)), (3, (2, 2, 1))]
+    )
+    @pytest.mark.parametrize("a, shift", [(0.0, 0.0), (1.0, 0.0), (1.0, 0.4)])
+    def test_check_grid_matches_folded_sum(self, d, x, a, shift):
+        # the full-grid check sum, periodic and shifted, against the folded sum
+        import latgreen.lattice as lat
+
+        x = np.array(x)
+        theta = np.where(x > 0, shift, 0.0)
+        folded, _ = lat._torus_sum(d, a, 1.0, x, theta, 32)
+        full, scale = lat._torus_sum(d, a, 1.0, x, theta, 32, check_imag=True)
+        assert full.real == pytest.approx(folded, rel=1e-13)
+        assert abs(full.imag) < 1e-12 * scale
 
     @pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.0, 3.0, 8.5, 2.7, 9.0])
     def test_inverse_power(self, q):
