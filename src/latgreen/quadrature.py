@@ -11,8 +11,9 @@ the transformed variable converges geometrically.  Two maps are provided:
 
 ``t = exp(2 sinh v)`` (``double_exponential=True``)
     Forces double-exponential decay for integrands with an essential
-    singularity at 0 (e.g. ``exp(-c/t)``); the ``log_bessel_k`` fallback
-    uses it.
+    singularity at 0 (e.g. ``exp(-c/t)``) or a power-law tail at infinity
+    (Takahasi & Mori, Publ. RIMS 9 (1974) 721); the ``log_bessel_k``
+    fallback and the massless (``a = 0``) ``green_bessel`` use it.
 
 Each node of the transformed integrand ``g(v)`` is evaluated at most once per
 integral.  A fixed-step scan grid locates the peak, and each tail ends at the

@@ -251,25 +251,36 @@ def log_scaled_bessel_i(nu, t):
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
-    if not np.all(np.isfinite(t_arr)):
+    if t_arr.size == 0:
+        return t_arr.copy()
+    # one min/max pair checks the domain: nan propagates into both, and
+    # +-inf shows as an infinite end
+    t_min, t_max = t_arr.min(), t_arr.max()
+    if not (np.isfinite(t_min) and np.isfinite(t_max)):
         raise DomainError("t must be finite")
-    if np.any(t_arr < 0.0):
+    if t_min < 0.0:
         raise DomainError("t must be nonnegative")
 
-    out = np.empty_like(t_arr)
-    zero = t_arr == 0.0
-    out[zero] = 0.0 if nu == 0.0 else -np.inf
+    if t_min == 0.0:
+        out = np.empty_like(t_arr)
+        zero = t_arr == 0.0
+        out[zero] = 0.0 if nu == 0.0 else -np.inf
+        live = ~zero
+        out[live] = _live_log_ibar(nu, t_arr[live])
+    else:
+        out = _live_log_ibar(nu, t_arr)
+    return float(out[0]) if scalar else out
 
-    live = ~zero
-    tv = t_arr[live]
+
+def _live_log_ibar(nu, tv):
+    """``log(ibar)`` at positive arguments: ``ive`` first, then the regions."""
     with np.errstate(divide="ignore"):
         res = np.log(ive(nu, tv))
     # nan compares false, so out-of-range nodes join the underflowed ones
     rest = ~(res > _IVE_LOG_FLOOR)
-    if np.any(rest):
+    if rest.any():
         res[rest] = _region_log_ibar(nu, tv[rest])
-    out[live] = res
-    return float(out[0]) if scalar else out
+    return res
 
 
 def _region_log_ibar(nu, tv):

@@ -543,6 +543,45 @@ class TestTransformChoice:
         assert math.exp(b) == pytest.approx(math.exp(a), rel=1e-9)
         assert a == green_bessel(GreenParams(2, 0.6, 1.5), [2, 1]).log_value
 
+    @staticmethod
+    def _spy_quadrature(monkeypatch):
+        """Record each call's map flag and the integrand's node count."""
+        import latgreen.lattice as lat
+
+        inner, calls = lat.log_integral_semi_infinite, []
+
+        def spy(log_f, rel_tol, double_exponential=False):
+            call = {"double_exponential": double_exponential, "nodes": 0}
+            calls.append(call)
+
+            def counted(t):
+                call["nodes"] += np.size(t)
+                return log_f(t)
+
+            return inner(counted, rel_tol, double_exponential=double_exponential)
+
+        monkeypatch.setattr(lat, "log_integral_semi_infinite", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "d, a, q, x",
+        [(3, 0.0, 1.0, (10, 0, 0)), (4, 0.0, 1.5, (3, 2, 1, 0)), (1, 0.0, 0.25, (5,)),
+         (3, 0.2, 1.0, (10, 0, 0)), (3, 1e-300, 1.0, (4, 1, 0)), (1, 1.0, 1.0, (0,))],
+    )
+    def test_double_exponential_map_exactly_when_massless(self, monkeypatch, d, a, q, x):
+        # a power-law tail (a = 0) falls off double-exponentially on the
+        # t = exp(2 sinh v) map; massive integrands take fewer nodes on t = e^v
+        calls = self._spy_quadrature(monkeypatch)
+        green_bessel(GreenParams(d, a, q), x)
+        assert [c["double_exponential"] for c in calls] == [a == 0.0]
+
+    def test_massless_node_count(self, monkeypatch):
+        # the t = e^v map takes 1263 integrand nodes here (each one a Bessel
+        # evaluation per distinct order), the double-exponential map 516
+        calls = self._spy_quadrature(monkeypatch)
+        green_bessel(GreenParams(3, 0.0, 1.0), (10, 0, 0))
+        assert calls[0]["nodes"] <= 800
+
 
 class TestSymmetryProperties:
     @pytest.mark.parametrize("perm", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])

@@ -154,6 +154,91 @@ class TestScaledBesselI:
         assert abs(gb.log_value - gc.log_value) <= 1e-15 * abs(gc.log_value)
 
 
+def log_ibar_masked(nu, t):
+    """The masked body ``log_scaled_bessel_i`` had before its one-pass checks."""
+    nu = float(nu)
+    t_arr = np.asarray(t, dtype=float)
+    scalar = t_arr.ndim == 0
+    t_arr = np.atleast_1d(t_arr)
+    out = np.empty_like(t_arr)
+    zero = t_arr == 0.0
+    out[zero] = 0.0 if nu == 0.0 else -np.inf
+    live = ~zero
+    tv = t_arr[live]
+    with np.errstate(divide="ignore"):
+        res = np.log(ive(nu, tv))
+    rest = ~(res > special_mod._IVE_LOG_FLOOR)
+    if np.any(rest):
+        res[rest] = special_mod._region_log_ibar(nu, tv[rest])
+    out[live] = res
+    return float(out[0]) if scalar else out
+
+
+class TestLogScaledBesselIContract:
+    ORDERS = (0, 0.5, 1, 3, 12, 49, 50, 60, 140, 1000, 20000, 300000)
+    ARGS = np.concatenate([
+        [5e-324, 1e-310, 1e-300, 1e-8, 0.3, 1.0, 31.0, 80.0, 1300.0, 4000.0],
+        np.geomspace(1e-6, 1e30, 73),
+        [1e9, 2e9, 1e15, 1e26, 1e300],
+    ])
+
+    def test_empty_argument(self):
+        for nu in (0, 3):
+            got = log_scaled_bessel_i(nu, np.array([]))
+            assert isinstance(got, np.ndarray)
+            assert got.shape == (0,) and got.dtype == float
+
+    def test_scalar_in_float_out(self):
+        for t in (0.0, 2.5, np.float64(2.5), 1e20):
+            assert type(log_scaled_bessel_i(3, t)) is float
+        assert type(log_scaled_bessel_i(0, 0)) is float
+
+    def test_zero_argument(self):
+        assert log_scaled_bessel_i(0, 0.0) == 0.0
+        assert log_scaled_bessel_i(2.5, 0.0) == -math.inf
+        ts = np.array([0.0, 1.0, 0.0, 1e12, -0.0])
+        for nu in (0, 4):
+            got = log_scaled_bessel_i(nu, ts)
+            assert got[[0, 2, 4]].tolist() == [0.0 if nu == 0 else -math.inf] * 3
+            assert got[1] == log_scaled_bessel_i(nu, 1.0)
+            assert got[3] == log_scaled_bessel_i(nu, 1e12)
+
+    @pytest.mark.parametrize(
+        "t, message",
+        [(math.nan, "t must be finite"), (math.inf, "t must be finite"),
+         (-math.inf, "t must be finite"), (-1.0, "t must be nonnegative"),
+         (-5e-324, "t must be nonnegative"), ([1.0, math.nan, -1.0], "t must be finite"),
+         ([0.0, 2.0, math.inf], "t must be finite"), ([3.0, -2.0], "t must be nonnegative")],
+    )
+    def test_domain_messages(self, t, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            log_scaled_bessel_i(1, t)
+
+    def test_bits_match_masked_body(self):
+        # the grid reaches every branch: ive, and in the fallback the Hankel,
+        # Debye and series regions
+        seen = set()
+        for nu in self.ORDERS:
+            ts = np.concatenate([[0.0], self.ARGS, [0.0]])
+            got = log_scaled_bessel_i(nu, ts)
+            want = log_ibar_masked(nu, ts)
+            assert got.tobytes() == want.tobytes(), nu
+            for t in self.ARGS:
+                assert log_scaled_bessel_i(nu, t) == log_ibar_masked(nu, t)
+            with np.errstate(divide="ignore"):
+                ok = np.log(ive(nu, self.ARGS)) > special_mod._IVE_LOG_FLOOR
+            if ok.any():
+                seen.add("ive")
+            for t in self.ARGS[~ok]:
+                if t > 30.0 and t >= 0.5 * nu * nu:
+                    seen.add("hankel")
+                elif nu >= 50.0 and t >= np.finfo(float).tiny * nu:
+                    seen.add("debye")
+                else:
+                    seen.add("series")
+        assert seen == {"ive", "hankel", "debye", "series"}
+
+
 def log_ibar_mpmath(nu, t):
     """40-digit referee for log(exp(-t) I_nu(t))."""
     mp = pytest.importorskip("mpmath")
