@@ -14,20 +14,20 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Public name -> the submodule that defines it.
+# Public name -> the submodule that defines it.  This table is the one list
+# of public names: ``__all__`` is built from it, and no submodule keeps one.
 _SUBMODULE = {
     name: module
     for module, names in {
         "asymptotics": (
             "REGIME_I", "REGIME_II", "REGIME_III", "REGIME_IV", "BoundReport",
             "GbarDiagnostics", "RegimeEstimate", "critical_estimate", "gbar_curve",
-            "gbar_d2", "gbar_d3", "oz_constant", "oz_estimate",
-            "oz_isotropic_estimate", "oz_limit_constant", "uniform_bound_check",
-            "uniform_bound_rhs",
+            "gbar_d2", "oz_constant", "oz_estimate", "oz_isotropic_estimate",
+            "oz_limit_constant", "uniform_bound_check", "uniform_bound_rhs",
         ),
         "continuum": (
             "ContinuumParams", "green_continuum", "green_continuum_time_integral",
-            "heat_kernel", "log_green_continuum",
+            "log_green_continuum",
         ),
         "errors": (
             "AccuracyError", "ConfigError", "DivergenceError", "DomainError",
@@ -36,13 +36,10 @@ _SUBMODULE = {
         "lattice": ("green_bessel", "green_d1_closed", "green_fourier_oracle"),
         "norm": (
             "NormContext", "a_norm", "a_norm_batch", "mass", "norm_context",
-            "u_scale", "u_scale_batch", "unit_ball_boundary", "unit_ball_rows",
+            "u_scale", "u_scale_batch", "unit_ball_rows",
         ),
         "records": ("GreenParams", "GreenValue", "OutputRecord"),
-        "special": (
-            "bessel_k", "log_bessel_k", "log_scaled_bessel_i", "log_uniform_l",
-            "psi", "psi_d1", "psi_d2", "psi_d3", "scaled_bessel_i", "uniform_l",
-        ),
+        "special": ("log_bessel_k", "log_scaled_bessel_i", "log_uniform_l", "psi"),
         "walk": (
             "VisitEstimate", "WalkConfig", "estimate_green", "kill_time_survival",
             "run_killed_walks",

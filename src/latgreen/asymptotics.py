@@ -10,8 +10,9 @@ III massive continuum              a = s/n, s > 0
 IV  massless continuum             a = 0 (needs d > 2q)
 
 Also here: the convexity diagnostics of the Laplace exponent underlying
-regime I (``gbar_*``), the direction-dependent amplitude constant, and the
-uniform power-times-exponential upper bound with caller-supplied constants.
+regime I (``gbar_curve``, ``gbar_d2``), the direction-dependent amplitude
+constant, and the uniform power-times-exponential upper bound with
+caller-supplied constants.
 """
 
 import math
@@ -22,29 +23,11 @@ from scipy.special import gammaln
 
 from .continuum import ContinuumParams, log_green_continuum
 from .errors import DomainError
-from .lattice import GreenParams, green_bessel
+from .lattice import green_bessel
 from .norm import a_norm, mass, norm_context
-from .special import log_scaled_bessel_i, psi
+from .records import GreenParams
+from .special import psi
 
-__all__ = [
-    "RegimeEstimate",
-    "GbarDiagnostics",
-    "REGIME_I",
-    "REGIME_II",
-    "REGIME_III",
-    "REGIME_IV",
-    "oz_limit_constant",
-    "oz_constant",
-    "oz_estimate",
-    "oz_isotropic_estimate",
-    "critical_estimate",
-    "gbar_curve",
-    "gbar_d2",
-    "gbar_d3",
-    "uniform_bound_rhs",
-    "uniform_bound_check",
-    "BoundReport",
-]
 
 REGIME_I = "I_anisotropic_OZ"
 REGIME_II = "II_isotropic_OZ"
@@ -100,6 +83,16 @@ def _direction_factor(x_hat, u_hat):
     return 1.0 / math.sqrt(total)
 
 
+def _log_oz_constant(d, q, ctx):
+    """log of the OZ amplitude constant for the direction of ``ctx``."""
+    beta = 0.5 * (d - 1.0 - 2.0 * q)
+    return (
+        math.log(oz_limit_constant(d, q))
+        + math.log(_direction_factor(ctx.x_hat, ctx.u_hat))
+        + beta * (math.log(ctx.u_hat) - math.log(ctx.m_a))
+    )
+
+
 def oz_constant(d, q, a, x_hat):
     """Direction-dependent OZ amplitude constant.
 
@@ -108,14 +101,10 @@ def oz_constant(d, q, a, x_hat):
     """
     if a <= 0.0:
         raise DomainError("a must be > 0")
-    x_hat = np.asarray(x_hat, dtype=float)
-    nrm = a_norm(x_hat, d, a)
-    if abs(nrm - 1.0) > 1e-10:
-        raise DomainError(f"x_hat must have unit anisotropic norm, got {nrm}")
     ctx = norm_context(x_hat, d, a)
-    kappa = _direction_factor(ctx.x_hat, ctx.u_hat)
-    exponent = 0.5 * (d - 1.0 - 2.0 * q)
-    return oz_limit_constant(d, q) * kappa * (ctx.u_hat / ctx.m_a) ** exponent
+    if abs(ctx.norm - 1.0) > 1e-10:
+        raise DomainError(f"x_hat must have unit anisotropic norm, got {ctx.norm}")
+    return math.exp(_log_oz_constant(d, q, ctx))
 
 
 def oz_estimate(p, x, n):
@@ -130,15 +119,9 @@ def oz_estimate(p, x, n):
     if n < 1:
         raise DomainError("n must be >= 1")
     ctx = norm_context(np.asarray(x, dtype=float), p.d, p.a)
-    kappa = _direction_factor(ctx.x_hat, ctx.u_hat)
     beta = 0.5 * (p.d - 1.0 - 2.0 * p.q)
     gamma = 0.5 * (p.d + 1.0 - 2.0 * p.q)
-    log_c = (
-        math.log(oz_limit_constant(p.d, p.q))
-        + math.log(kappa)
-        + beta * (math.log(ctx.u_hat) - math.log(ctx.m_a))
-    )
-    log_amplitude = log_c + beta * math.log(ctx.m_a)
+    log_amplitude = _log_oz_constant(p.d, p.q, ctx) + beta * math.log(ctx.m_a)
     log_power = -gamma * math.log(n * ctx.norm)
     return _estimate(REGIME_I, log_amplitude, log_power, -ctx.m_a * n * ctx.norm)
 
@@ -217,27 +200,18 @@ def gbar_d2(d, a, x, y):
     return ctx.norm * ctx.u_hat * float(np.sum(terms))
 
 
-def gbar_d3(d, a, x, y):
-    """Analytic third derivative of the rescaled Laplace exponent."""
-    ctx, _ = _gbar_context(d, a, x)
-    xh2 = ctx.x_hat ** 2
-    u2 = ctx.u_hat ** 2
-    num = 3.0 * xh2 * y ** -4.0 + 2.0 * u2 * xh2 ** 2 * y ** -6.0
-    terms = num / (1.0 + u2 * xh2 * y ** -2.0) ** 1.5
-    return -ctx.norm * ctx.u_hat * float(np.sum(terms))
-
-
-def gbar_curve(d, a, x, y_grid, q=1.0, n=None):
+def gbar_curve(d, a, x, y_grid):
     """Sample the rescaled Laplace exponent along a positive grid.
+
+    The prefactor ``hbar`` is that of ``q = 1`` in the large-distance limit:
+    ``y^(-1/2)`` per flat (zero) coordinate of ``x``, where the scaled
+    Bessel factor of order 0 tends to its limit, times
+    ``(y^2 + u_hat^2 x_hat_j^2)^(-1/4)`` per nonzero coordinate.
 
     Parameters
     ----------
     d, a, x : geometry, with ``a > 0`` and ``x`` nonzero.
     y_grid : positive rescaled integration variable values.
-    q : exponent entering the prefactor ``hbar`` (default 1).
-    n : optional distance multiplier for the pre-limit prefactor; ``None``
-        replaces the central scaled-Bessel factor by its large-``n`` limit
-        ``y^(-1/2)`` per flat coordinate.
 
     Returns
     -------
@@ -255,17 +229,7 @@ def gbar_curve(d, a, x, y_grid, q=1.0, n=None):
     xh_nonzero = nonzero * ctx.u / ctx.u_hat  # nonzero coords of x_hat
     out = []
     for y in y_grid:
-        lg_h = (q - 1.0) * math.log(y)
-        if flat:
-            if n is None:
-                lg_h += flat * (-0.5 * math.log(y))
-            else:
-                t0 = n * y / ctx.u
-                lg_h += flat * (
-                    0.5 * math.log(2.0 * math.pi * n / ctx.u)
-                    + log_scaled_bessel_i(0, t0)
-                )
-        lg_h -= 0.25 * float(
+        lg_h = -0.5 * flat * math.log(y) - 0.25 * float(
             np.sum(np.log(y * y + ctx.u_hat ** 2 * xh_nonzero ** 2))
         )
         out.append(

@@ -1,4 +1,4 @@
-"""Continuum Green functions on R^d and the heat kernel.
+"""Continuum Green functions on R^d.
 
 The mass-``s`` Green function of the normalized continuum Laplacian admits
 two independent evaluation routes:
@@ -20,14 +20,6 @@ from scipy.special import gammaln
 from .errors import DivergenceError, DomainError
 from .quadrature import log_integral_semi_infinite
 from .special import log_bessel_k
-
-__all__ = [
-    "ContinuumParams",
-    "heat_kernel",
-    "green_continuum",
-    "log_green_continuum",
-    "green_continuum_time_integral",
-]
 
 
 @dataclass(frozen=True)
@@ -63,22 +55,6 @@ def _radius(x, d):
     if not np.all(np.isfinite(xv)):
         raise DomainError("x must be finite")
     return float(np.linalg.norm(xv))
-
-
-def heat_kernel(d, t, x):
-    """Gaussian transition density of the normalized continuum diffusion.
-
-    ``(d / (2 pi t))^(d/2) exp(-d |x|_2^2 / (2t))``; integrates to 1 over R^d
-    and is maximal at the origin.
-    """
-    if int(d) != d or d < 1:
-        raise DomainError("d must be an integer >= 1")
-    if not np.isfinite(t) or t <= 0.0:
-        raise DomainError("t must be positive")
-    r = _radius(x, d)
-    return (d / (2.0 * math.pi * t)) ** (d / 2.0) * math.exp(
-        -d * r * r / (2.0 * t)
-    )
 
 
 def log_green_continuum(p, x):

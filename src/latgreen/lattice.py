@@ -32,14 +32,6 @@ from .quadrature import _LOOSEST_REL_TOL, _log_sum_exp, log_integral_semi_infini
 from .records import GreenParams, GreenValue
 from .special import log_scaled_bessel_i
 
-__all__ = [
-    "GreenParams",
-    "GreenValue",
-    "green_bessel",
-    "green_fourier_oracle",
-    "green_d1_closed",
-]
-
 
 # Coordinates must stay below 2**53: past it an integer is no longer exact
 # as a float (the Bessel order), and past 2**63 it no longer fits an int64.

@@ -21,18 +21,6 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 
-__all__ = [
-    "NormContext",
-    "mass",
-    "u_scale",
-    "a_norm",
-    "a_norm_batch",
-    "u_scale_batch",
-    "norm_context",
-    "unit_ball_boundary",
-    "unit_ball_rows",
-]
-
 
 @dataclass(frozen=True)
 class NormContext:
@@ -230,8 +218,3 @@ def unit_ball_rows(d, a, n_points):
     radii = 1.0 / a_norm_batch(dirs, d, a)
     for theta, phi, w, r in zip(tt, pp, dirs, radii):
         yield (theta, phi), r * w
-
-
-def unit_ball_boundary(d, a, n_points):
-    """Boundary points of the unit ball of the norm, ordered for plotting."""
-    return [point for _, point in unit_ball_rows(d, a, n_points)]

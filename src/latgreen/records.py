@@ -6,8 +6,8 @@ numpy or scipy to build or check them.
 
 ``OutputRecord`` is one flat record per evaluation with a stable CSV/JSON
 schema (version tag emitted as a leading ``# schema=1`` comment).  Floats
-are serialized with ``repr`` so parse(serialize(record)) round-trips
-exactly.
+are written with ``repr``, so ``float()`` of each field gives the value back
+bit for bit.
 """
 
 import json
@@ -16,8 +16,6 @@ import sys
 from dataclasses import dataclass
 
 from .errors import AccuracyError, DivergenceError, DomainError
-
-__all__ = ["GreenParams", "GreenValue", "OutputRecord", "CSV_SCHEMA_COMMENT"]
 
 
 @dataclass(frozen=True)
@@ -134,25 +132,6 @@ class OutputRecord:
                 row.append(_fmt(v))
         return row
 
-    @classmethod
-    def from_csv_row(cls, row):
-        method, d, a, q, s, n, x, value, log_value, est_error, regime = row
-        return cls(
-            method=method,
-            d=int(d),
-            a=float(a) if a else None,
-            q=float(q) if q else None,
-            s=float(s) if s else None,
-            n=int(n) if n else None,
-            # lattice points are written as ints, real points as floats
-            x=tuple(int(c) if c.lstrip("-").isdigit() else float(c) for c in x.split(","))
-            if x else (),
-            value=float(value),
-            log_value=float(log_value),
-            est_error=float(est_error),
-            regime=regime or None,
-        )
-
     def to_json(self):
         return json.dumps(
             {
@@ -170,22 +149,4 @@ class OutputRecord:
                 "est_error": self.est_error,
                 "regime": self.regime,
             }
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        params = obj["params"]
-        return cls(
-            method=obj["method"],
-            d=params["d"],
-            a=params["a"],
-            q=params["q"],
-            s=params["s"],
-            n=params["n"],
-            x=tuple(obj["x"]),
-            value=obj["value"],
-            log_value=obj["log_value"],
-            est_error=obj["est_error"],
-            regime=obj.get("regime"),
         )

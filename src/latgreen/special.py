@@ -29,7 +29,7 @@ Also here: the modified Bessel function of the second kind ``K_alpha`` from
 scipy's scaled ``kve``, with its symmetric integral representation
 (double-exponential quadrature to ``rel_tol = 1e-13``, valid for all real
 orders) wherever ``kve`` overflows or underflows, and the exponent/amplitude
-pair ``psi`` / ``uniform_l`` of the large-order scaling form for ``ibar``.
+pair ``psi`` / ``log_uniform_l`` of the large-order scaling form for ``ibar``.
 """
 
 import numpy as np
@@ -37,19 +37,6 @@ from scipy.special import gammaln, ive, kve
 
 from .errors import AccuracyError, DomainError
 from .quadrature import _log_sum_exp, log_integral_semi_infinite
-
-__all__ = [
-    "scaled_bessel_i",
-    "log_scaled_bessel_i",
-    "bessel_k",
-    "log_bessel_k",
-    "psi",
-    "psi_d1",
-    "psi_d2",
-    "psi_d3",
-    "uniform_l",
-    "log_uniform_l",
-]
 
 
 # log(ive) is kept above this.  ive returns 0 below about exp(-700.9), the
@@ -117,25 +104,6 @@ def psi(t):
     return 1.0 / (t + root) - asinh_inv
 
 
-def psi_d1(t):
-    """First derivative of :func:`psi`: ``-1 + sqrt(1 + t^-2)`` (positive)."""
-    t = _check_positive(t, "t")
-    # expm1/log1p form avoids the cancellation of sqrt(1+s) - 1 for large t.
-    return np.expm1(0.5 * np.log1p(t ** -2.0))
-
-
-def psi_d2(t):
-    """Second derivative of :func:`psi` (negative for t > 0)."""
-    t = _check_positive(t, "t")
-    return -(t ** -3.0) / np.sqrt(1.0 + t ** -2.0)
-
-
-def psi_d3(t):
-    """Third derivative of :func:`psi` (positive for t > 0)."""
-    t = _check_positive(t, "t")
-    return (2.0 * t ** -6.0 + 3.0 * t ** -4.0) / (1.0 + t ** -2.0) ** 1.5
-
-
 def log_uniform_l(nu, t):
     """log of the large-order amplitude ``L_nu(t)``.
 
@@ -143,14 +111,15 @@ def log_uniform_l(nu, t):
     function ``ibar(nu, nu*t)`` converges to ``L_nu(t)`` uniformly in t as the
     order grows.
     """
-    nu = _check_positive(nu, "nu")
-    t = _check_positive(t, "t")
+    return _log_amplitude(_check_positive(nu, "nu"), _check_positive(t, "t"))
+
+
+def _log_amplitude(nu, t):
+    """``log L_nu(t)``; the caller checks ``nu`` (``psi`` checks ``t``).
+
+    Also the leading term of the Debye expansion, at ``t / nu``.
+    """
     return nu * psi(t) - 0.5 * np.log(2.0 * np.pi * nu) - 0.25 * np.log1p(t * t)
-
-
-def uniform_l(nu, t):
-    """Linear-space variant of :func:`log_uniform_l`."""
-    return np.exp(log_uniform_l(nu, t))
 
 
 def _check_positive(x, name):
@@ -213,12 +182,7 @@ def _uniform_log_ibar(nu, t):
     series = np.zeros_like(t)
     for k, (coeffs, den) in enumerate(_DEBYE_U):
         series += np.polyval(coeffs, p) / (den * nu ** k)
-    return (
-        nu * psi(z)
-        - 0.5 * np.log(2.0 * np.pi * nu)
-        - 0.25 * np.log1p(z * z)
-        + np.log(series)
-    )
+    return _log_amplitude(nu, z) + np.log(series)
 
 
 def log_scaled_bessel_i(nu, t):
@@ -302,15 +266,6 @@ def _region_log_ibar(nu, tv):
     return res
 
 
-def scaled_bessel_i(nu, t):
-    """``exp(-t) * I_nu(t)``, always in [0, 1].
-
-    See :func:`log_scaled_bessel_i` for the evaluation strategy; this is its
-    exponential and underflows to 0.0 once the log drops below ~-745.
-    """
-    return np.exp(log_scaled_bessel_i(nu, t))
-
-
 def log_bessel_k(alpha, z):
     """log of the modified Bessel function of the second kind.
 
@@ -345,10 +300,3 @@ def log_bessel_k(alpha, z):
     log_i, _ = log_integral_semi_infinite(log_f, 1e-13, double_exponential=True)
     return np.log(0.5) + alpha * np.log(0.5 * z) + log_i
 
-
-def bessel_k(alpha, z):
-    """Modified Bessel function of the second kind, positive real order/argument.
-
-    Linear-space variant of :func:`log_bessel_k`.
-    """
-    return np.exp(log_bessel_k(alpha, z))

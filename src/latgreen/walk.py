@@ -32,13 +32,6 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 
-__all__ = [
-    "WalkConfig",
-    "VisitEstimate",
-    "run_killed_walks",
-    "estimate_green",
-    "kill_time_survival",
-]
 
 _BATCH = 20_000
 # Largest expected number of walk steps, n_walks (1 + a^2) / a^2, that one

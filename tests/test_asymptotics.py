@@ -16,9 +16,9 @@ from latgreen import (
     critical_estimate,
     gbar_curve,
     gbar_d2,
-    gbar_d3,
     green_bessel,
     green_d1_closed,
+    log_scaled_bessel_i,
     mass,
     norm_context,
     oz_constant,
@@ -242,7 +242,12 @@ class TestGbarDiagnostics:
         d3 = (f[0] - 8 * f[1] + 13 * f[2] - 13 * f[4] + 8 * f[5] - f[6]) / (
             8 * h**3
         )
-        assert gbar_d3(d, a, x, y) == pytest.approx(d3, rel=1e-6)
+        # closed form of the third derivative
+        ctx = norm_context(np.asarray(x), d, a)
+        xh2, u2 = ctx.x_hat ** 2, ctx.u_hat ** 2
+        num = 3.0 * xh2 * y ** -4.0 + 2.0 * u2 * xh2 ** 2 * y ** -6.0
+        want3 = -ctx.norm * ctx.u_hat * np.sum(num / (1.0 + u2 * xh2 * y ** -2.0) ** 1.5)
+        assert want3 == pytest.approx(d3, rel=1e-6)
 
     def test_curvature_scales_linearly_in_killing(self):
         x = np.array([2.0, 1.0, 1.0])
@@ -255,14 +260,18 @@ class TestGbarDiagnostics:
         assert abs(slope - 1.0) < 0.1
 
     def test_prefactor_with_flat_coordinates(self):
-        # x with zeros exercises the flat-direction factor; the pre-limit
-        # form approaches the limit form as n grows
-        d, a, x = 3, 0.6, [2.0, 1.0, 0.0]
-        y = [0.8, 1.0, 1.3]
-        limit = gbar_curve(d, a, x, y)
-        pre = gbar_curve(d, a, x, y, n=4000)
-        for rl, rp in zip(limit, pre):
-            assert rp.hbar == pytest.approx(rl.hbar, rel=1e-2)
+        # x with zeros exercises the flat-direction factor y^(-1/2), the
+        # large-n limit of sqrt(2 pi n / u) ibar(0, n y / u); the pre-limit
+        # form at n = 4000 is within 1% of it
+        d, a, x, n = 3, 0.6, [2.0, 1.0, 0.0], 4000
+        ctx = norm_context(np.asarray(x), d, a)
+        for row in gbar_curve(d, a, x, [0.8, 1.0, 1.3]):
+            log_pre = (
+                0.5 * math.log(2.0 * math.pi * n / ctx.u)
+                + log_scaled_bessel_i(0, n * row.y / ctx.u)
+                - 0.25 * np.sum(np.log(row.y ** 2 + ctx.u_hat ** 2 * ctx.x_hat[:2] ** 2))
+            )
+            assert math.exp(log_pre) == pytest.approx(row.hbar, rel=1e-2)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -35,6 +35,12 @@ def parse_csv(text):
     return header, body
 
 
+def first_row(text):
+    """The first data row of CSV output, as a dict keyed by column name."""
+    header, body = parse_csv(text)
+    return dict(zip(header, body[0]))
+
+
 class TestEval:
     def test_closed_d1_example(self, capsys):
         code, out, _ = run_cli(
@@ -42,10 +48,9 @@ class TestEval:
             "--x", "0", "--method", "closed-d1",
         )
         assert code == 0
-        header, body = parse_csv(out)
-        rec = OutputRecord.from_csv_row(body[0])
-        assert rec.value == pytest.approx(0.5773503, abs=1e-7)
-        assert rec.method == "closed_d1"
+        rec = first_row(out)
+        assert float(rec["value"]) == pytest.approx(0.5773503, abs=1e-7)
+        assert rec["method"] == "closed_d1"
 
     def test_massless_d3_origin(self, capsys):
         code, out, _ = run_cli(
@@ -53,9 +58,8 @@ class TestEval:
             "--x", "0,0,0", "--method", "bessel",
         )
         assert code == 0
-        _, body = parse_csv(out)
-        rec = OutputRecord.from_csv_row(body[0])
-        assert rec.value == pytest.approx(1.5163861, abs=1e-6)
+        rec = first_row(out)
+        assert float(rec["value"]) == pytest.approx(1.5163861, abs=1e-6)
 
     def test_bitwise_equality_with_library(self, capsys):
         code, out, _ = run_cli(
@@ -63,11 +67,10 @@ class TestEval:
             "--x", "2,1", "--method", "bessel",
         )
         assert code == 0
-        _, body = parse_csv(out)
-        rec = OutputRecord.from_csv_row(body[0])
+        rec = first_row(out)
         lib = green_bessel(GreenParams(2, 0.7, 1.5), [2, 1])
-        assert rec.value == lib.value
-        assert rec.log_value == lib.log_value
+        assert float(rec["value"]) == lib.value
+        assert float(rec["log_value"]) == lib.log_value
 
     def test_divergent_case_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -96,10 +99,10 @@ class TestEval:
             "--x", "0", "--method", "mc", "--walks", "20000", "--seed", "5",
         )
         assert code == 0
-        _, body = parse_csv(out)
-        rec = OutputRecord.from_csv_row(body[0])
-        assert rec.method == "monte_carlo"
-        assert rec.value == pytest.approx(1.0 / math.sqrt(3.0), abs=5 * rec.est_error)
+        rec = first_row(out)
+        assert rec["method"] == "monte_carlo"
+        value, est_error = float(rec["value"]), float(rec["est_error"])
+        assert value == pytest.approx(1.0 / math.sqrt(3.0), abs=5 * est_error)
 
     def test_monte_carlo_points_share_one_ensemble(self, capsys, monkeypatch):
         import latgreen.walk as walk_mod
@@ -149,8 +152,8 @@ class TestEval:
             "--x", "2", "--method", "closed-d1", "--json",
         )
         assert code == 0
-        rec = OutputRecord.from_json(out.splitlines()[0])
-        assert rec.x == (2,)
+        obj = json.loads(out.splitlines()[0])
+        assert obj["x"] == [2]
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "result.csv"
@@ -387,22 +390,38 @@ class TestBound:
 
 
 class TestRecordRoundTrip:
+    @staticmethod
+    def assert_floats_exact(rec, fields):
+        # floats are written with repr: float() gives back every bit
+        for name in ("a", "q", "s", "value", "log_value", "est_error"):
+            want = getattr(rec, name)
+            if want is None:
+                assert fields[name] in ("", None), name
+            else:
+                assert float(fields[name]).hex() == want.hex(), name
+
     def test_csv(self):
         rec = OutputRecord(
             method="bessel_rep", d=3, a=0.25, q=1.5, s=None, n=17,
             x=(1, -2, 0), value=1.25e-7, log_value=-15.895,
             est_error=3.2e-16, regime="I_anisotropic_OZ",
         )
-        back = OutputRecord.from_csv_row(rec.to_csv_row())
-        assert back == rec
-        assert all(type(c) is int for c in back.x)
+        fields = dict(zip(OutputRecord.csv_header(), rec.to_csv_row()))
+        assert fields == {
+            "method": "bessel_rep", "d": "3", "a": "0.25", "q": "1.5", "s": "",
+            "n": "17", "x": "1,-2,0", "value": "1.25e-07", "log_value": "-15.895",
+            "est_error": "3.2e-16", "regime": "I_anisotropic_OZ",
+        }
+        self.assert_floats_exact(rec, fields)
 
     @staticmethod
     def csv_round_trip(rec):
+        """Write ``rec`` with ``csv`` and read it back as a dict of fields."""
         stream = io.StringIO()
         csv.writer(stream, lineterminator="\n").writerow(rec.to_csv_row())
         (row,) = csv.reader(io.StringIO(stream.getvalue()))
-        return OutputRecord.from_csv_row(row)
+        assert row == rec.to_csv_row()
+        return dict(zip(OutputRecord.csv_header(), row))
 
     def test_csv_file_eval_row(self, capsys):
         code, out, _ = run_cli(
@@ -411,22 +430,28 @@ class TestRecordRoundTrip:
         )
         assert code == 0
         _, body = parse_csv(out)
-        rec = OutputRecord.from_csv_row(body[0])
-        assert rec.x == (2, -1, 0)
-        assert all(type(c) is int for c in rec.x)
+        lib = green_bessel(GreenParams(3, 0.5, 1.0), [2, -1, 0])
+        rec = OutputRecord(
+            method=lib.method, d=3, a=0.5, q=1.0, s=None, n=None, x=(2, -1, 0),
+            value=lib.value, log_value=lib.log_value, est_error=lib.est_error,
+        )
+        # lattice points are written as ints
         assert rec.to_csv_row() == body[0]
-        assert self.csv_round_trip(rec) == rec
+        fields = self.csv_round_trip(rec)
+        assert fields["x"] == "2,-1,0"
+        self.assert_floats_exact(rec, fields)
 
     def test_csv_file_norm_row(self):
-        # the norm accepts real coordinates; they must come back as floats
+        # the norm accepts real coordinates; they are written as floats
         rec = OutputRecord(
             method="a_norm", d=2, a=0.01, q=None, s=None, n=None,
             x=(3.0, -4.5), value=5.4, log_value=math.log(5.4),
             est_error=0.0, regime=None,
         )
-        back = self.csv_round_trip(rec)
-        assert back == rec
-        assert all(type(c) is float for c in back.x)
+        fields = self.csv_round_trip(rec)
+        assert fields["x"] == "3.0,-4.5"
+        assert tuple(float(c) for c in fields["x"].split(",")) == rec.x
+        self.assert_floats_exact(rec, fields)
 
     def test_json(self):
         rec = OutputRecord(
@@ -434,7 +459,10 @@ class TestRecordRoundTrip:
             x=(4.0, 5.0), value=0.125, log_value=math.log(0.125),
             est_error=1e-12, regime=None,
         )
-        assert OutputRecord.from_json(rec.to_json()) == rec
+        obj = json.loads(rec.to_json())
+        assert obj["params"] == {"d": 2, "a": 0.0, "q": 1.0, "s": 0.5, "n": None}
+        assert (obj["method"], obj["x"], obj["regime"]) == ("fourier", [4.0, 5.0], None)
+        self.assert_floats_exact(rec, {**obj["params"], **obj})
 
     def test_json_lines_parse(self):
         rec = OutputRecord(
@@ -462,9 +490,8 @@ class TestEvalGuards:
             "--x", "5", "--method", "closed-d1",
         )
         assert code == 0
-        _, body = parse_csv(out)
-        rec = OutputRecord.from_csv_row(body[0])
-        assert math.isfinite(rec.log_value) and rec.value > 0.0
+        rec = first_row(out)
+        assert math.isfinite(float(rec["log_value"])) and float(rec["value"]) > 0.0
 
     def test_closed_d1_exponent_cap_exits_2(self, capsys):
         code, out, err = run_cli(
@@ -492,10 +519,9 @@ class TestEvalGuards:
             "--x", "3", "--method", "fourier",
         )
         assert code == 0
-        _, body = parse_csv(out)
-        rec = OutputRecord.from_csv_row(body[0])
+        rec = first_row(out)
         lib = green_bessel(GreenParams(1, 0.0, 0.25), [3])
-        assert rec.value == pytest.approx(lib.value, rel=1e-9)
+        assert float(rec["value"]) == pytest.approx(lib.value, rel=1e-9)
 
 
 def _fresh_python(*args, env=None):
@@ -617,10 +643,9 @@ class TestEnvironment:
             "--x", "1", "--method", "bessel",
         )
         assert code == 0
-        _, body = parse_csv(out)
-        rec = OutputRecord.from_csv_row(body[0])
+        rec = first_row(out)
         lib = green_bessel(GreenParams(1, 1.0, 1.0), [1])
-        assert rec.value == pytest.approx(lib.value, rel=1e-7)
+        assert float(rec["value"]) == pytest.approx(lib.value, rel=1e-7)
 
     def test_malformed_rel_tol_env_exits_64(self, capsys, monkeypatch):
         monkeypatch.setenv("LATGREEN_REL_TOL", "abc")
@@ -715,6 +740,16 @@ class TestAccuracyExitCode:
         assert code == 3
         assert out == ""
         assert "cut-off" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("a", ["1e-300", "1e-160"])
+    def test_tiny_killing_divergent_limit_exits_3(self, capsys, a):
+        # a^2 underflows to 0 and the massless integral diverges at d = 2q
+        code, out, err = run_cli(
+            capsys, "eval", "--d", "2", "--a", a, "--q", "1",
+            "--x", "4,1", "--method", "bessel",
+        )
+        assert (code, out) == (3, "")
+        assert err == "latgreen: accuracy error: quadrature needs more than 200000 nodes\n"
 
     def test_fourier_grid_over_budget_exits_3(self, capsys, monkeypatch):
         import latgreen.lattice as lat

@@ -1,10 +1,9 @@
-"""Continuum Green functions, heat kernel, and route equivalence."""
+"""Continuum Green functions and route equivalence."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from latgreen import (
     ContinuumParams,
@@ -12,7 +11,6 @@ from latgreen import (
     DomainError,
     green_continuum,
     green_continuum_time_integral,
-    heat_kernel,
     log_green_continuum,
 )
 
@@ -21,44 +19,6 @@ def random_rotation(rng, d):
     m = rng.normal(size=(d, d))
     q, r = np.linalg.qr(m)
     return q * np.sign(np.diag(r))
-
-
-class TestHeatKernel:
-    def test_one_dimensional_origin(self):
-        assert heat_kernel(1, 1.0, [0.0]) == pytest.approx(
-            (2.0 * math.pi) ** -0.5, rel=1e-14
-        )
-
-    def test_three_dimensional_point(self):
-        want = (3.0 / (4.0 * math.pi)) ** 1.5 * math.exp(-0.75)
-        got = heat_kernel(3, 2.0, [1.0, 0.0, 0.0])
-        assert got == pytest.approx(want, rel=1e-14)
-        assert got == pytest.approx(0.05509931816, rel=1e-9)
-
-    def test_normalization_in_one_dimension(self):
-        for t in (0.3, 1.0, 4.0):
-            total, _ = quad(lambda x: heat_kernel(1, t, [x]), -np.inf, np.inf)
-            assert total == pytest.approx(1.0, rel=1e-10)
-
-    def test_rotational_invariance(self):
-        rng = np.random.default_rng(3)
-        x = np.array([0.8, -0.3])
-        base = heat_kernel(2, 1.7, x)
-        for _ in range(5):
-            r = random_rotation(rng, 2)
-            assert heat_kernel(2, 1.7, r @ x) == pytest.approx(base, rel=1e-12)
-
-    def test_maximal_at_origin(self):
-        peak = heat_kernel(3, 1.0, [0.0, 0.0, 0.0])
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            assert heat_kernel(3, 1.0, rng.normal(size=3)) <= peak
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            heat_kernel(2, 0.0, [1.0, 0.0])
-        with pytest.raises(DomainError):
-            heat_kernel(2, -1.0, [1.0, 0.0])
 
 
 class TestGreenContinuum:

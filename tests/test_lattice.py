@@ -583,6 +583,29 @@ class TestTransformChoice:
         assert calls[0]["nodes"] <= 800
 
 
+class TestTinyKilling:
+    # Below a ~ 1.5e-154, a^2 underflows to 0 and the integrand is the
+    # massless one.  Where that diverges (d <= 2q) the finite value needs
+    # t ~ 1/a^2, past float range, so the route refuses; a = 1e-151 is the
+    # smallest power of ten it still resolves.
+    @pytest.mark.parametrize("a", [1e-300, 1e-160])
+    def test_divergent_massless_limit_is_refused(self, a):
+        with pytest.raises(AccuracyError, match="200000 nodes"):
+            green_bessel(GreenParams(2, a, 1.0), [4, 1])
+
+    def test_resolved_down_to_1e_151(self):
+        # G grows like (2/pi) log(1/a) at d = 2, q = 1
+        fine = green_bessel(GreenParams(2, 1e-151, 1.0), [4, 1])
+        coarse = green_bessel(GreenParams(2, 1e-150, 1.0), [4, 1])
+        gap = fine.value - coarse.value - 2.0 / math.pi * math.log(10.0)
+        assert abs(gap) <= fine.est_error + coarse.est_error
+
+    def test_convergent_massless_limit_matches_a_zero(self):
+        tiny = green_bessel(GreenParams(3, 1e-300, 1.0), [4, 1, 0])
+        zero = green_bessel(GreenParams(3, 0.0, 1.0), [4, 1, 0])
+        assert abs(tiny.value - zero.value) <= tiny.est_error + zero.est_error
+
+
 class TestSymmetryProperties:
     @pytest.mark.parametrize("perm", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
     def test_permutation_invariance(self, perm):

@@ -7,25 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import ive
+from scipy.special import ive, kv
 
 import latgreen.special as special_mod
 from latgreen import (
     AccuracyError,
     DomainError,
     GreenParams,
-    bessel_k,
     green_bessel,
     green_d1_closed,
     log_bessel_k,
     log_scaled_bessel_i,
     log_uniform_l,
     psi,
-    psi_d1,
-    psi_d2,
-    psi_d3,
-    scaled_bessel_i,
-    uniform_l,
 )
 from latgreen.quadrature import log_integral_semi_infinite
 
@@ -64,18 +58,28 @@ def bessel_k_quadrature(alpha, z):
     return 0.5 * (z / 2.0) ** alpha * val
 
 
+def ibar(nu, t):
+    """``exp(-t) I_nu(t)`` as the exponential of the library's log form."""
+    return np.exp(log_scaled_bessel_i(nu, t))
+
+
+def bessel_k(alpha, z):
+    """``K_alpha(z)`` as the exponential of the library's log form."""
+    return np.exp(log_bessel_k(alpha, z))
+
+
 class TestScaledBesselI:
     def test_at_zero_argument(self):
-        assert scaled_bessel_i(0, 0.0) == 1.0
-        assert scaled_bessel_i(3, 0.0) == 0.0
+        assert ibar(0, 0.0) == 1.0
+        assert ibar(3, 0.0) == 0.0
 
     def test_large_argument_flat(self):
         # ibar(0, t) ~ (2 pi t)^(-1/2) for huge t
         want = (2.0 * math.pi * 1e6) ** -0.5
-        assert scaled_bessel_i(0, 1e6) == pytest.approx(want, rel=1e-6)
+        assert ibar(0, 1e6) == pytest.approx(want, rel=1e-6)
 
     def test_against_integral_oracle(self):
-        got = scaled_bessel_i(5, 7.0)
+        got = ibar(5, 7.0)
         want = ibar_quadrature(5, 7.0)
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -86,14 +90,14 @@ class TestScaledBesselI:
          (7, 5.0), (7, 12.5), (13, 12.5), (13, 40.0)],
     )
     def test_oracle_grid(self, nu, t):
-        assert scaled_bessel_i(nu, t) == pytest.approx(
+        assert ibar(nu, t) == pytest.approx(
             ibar_quadrature(nu, t), rel=1e-10
         )
 
     def test_bounded_by_one_and_positive(self):
         for nu in (0, 1, 10, 400):
             for t in (1e-12, 0.5, 30.0, 1e4, 1e12):
-                v = scaled_bessel_i(nu, t)
+                v = ibar(nu, t)
                 assert 0.0 <= v <= 1.0
                 if t > 0 and v > 0:
                     assert v > 0.0
@@ -112,7 +116,7 @@ class TestScaledBesselI:
     )
     @settings(max_examples=60, deadline=None)
     def test_log_matches_linear(self, nu, t):
-        lin = scaled_bessel_i(nu, t)
+        lin = ive(nu, t)
         if lin > 1e-280:
             assert math.exp(log_scaled_bessel_i(nu, t)) == pytest.approx(
                 lin, rel=1e-12
@@ -137,13 +141,13 @@ class TestScaledBesselI:
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            scaled_bessel_i(0, float("nan"))
+            ibar(0, float("nan"))
         with pytest.raises(DomainError):
-            scaled_bessel_i(0, float("inf"))
+            ibar(0, float("inf"))
         with pytest.raises(DomainError):
-            scaled_bessel_i(0, -1.0)
+            ibar(0, -1.0)
         with pytest.raises(DomainError):
-            scaled_bessel_i(-2, 1.0)
+            ibar(-2, 1.0)
 
     @pytest.mark.parametrize("x", [300000, 1000000])
     def test_orders_past_series_reach_match_closed_form(self, x):
@@ -375,7 +379,7 @@ class TestBesselK:
 
     def test_log_variant(self):
         assert math.exp(log_bessel_k(2.5, 3.0)) == pytest.approx(
-            bessel_k(2.5, 3.0), rel=1e-12
+            kv(2.5, 3.0), rel=1e-12
         )
         # far in the exponential tail the log variant keeps working
         assert log_bessel_k(0.5, 800.0) == pytest.approx(
@@ -434,26 +438,29 @@ class TestPsi:
         assert np.all(vals < 0.0)
         assert abs(psi(1e9)) < 1e-9
 
-    def test_first_derivative_value(self):
-        assert psi_d1(1.0) == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-14)
-
     def test_derivative_signs(self):
+        # the k-th divided difference is psi^(k)(xi) / k! for some xi in its
+        # span, so psi' > 0, psi'' < 0 and psi''' > 0 show in their signs
         ts = np.geomspace(1e-3, 1e3, 25)
-        assert np.all(psi_d1(ts) > 0.0)
-        assert np.all(psi_d2(ts) < 0.0)
-        assert np.all(psi_d3(ts) > 0.0)
+        dd = psi(ts)
+        for k, sign in ((1, 1.0), (2, -1.0), (3, 1.0)):
+            dd = np.diff(dd) / (ts[k:] - ts[:-k])
+            assert np.all(sign * dd > 0.0), k
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_derivatives_match_finite_differences(self, t):
-        # fourth-order central stencils; h balances truncation vs roundoff
+        # fourth-order central stencils of psi against the closed forms of
+        # psi'' and psi'''; h balances truncation vs roundoff
         h = 1e-2 * t
         f = [psi(t + k * h) for k in range(-3, 4)]
         d2 = (-f[5] + 16 * f[4] - 30 * f[3] + 16 * f[2] - f[1]) / (12 * h**2)
-        assert psi_d2(t) == pytest.approx(d2, rel=1e-6)
+        want2 = -(t ** -3.0) / math.sqrt(1.0 + t ** -2.0)
+        assert want2 == pytest.approx(d2, rel=1e-6)
         d3 = (f[0] - 8 * f[1] + 13 * f[2] - 13 * f[4] + 8 * f[5] - f[6]) / (
             8 * h**3
         )
-        assert psi_d3(t) == pytest.approx(d3, rel=1e-6)
+        want3 = (2.0 * t ** -6.0 + 3.0 * t ** -4.0) / (1.0 + t ** -2.0) ** 1.5
+        assert want3 == pytest.approx(d3, rel=1e-6)
 
     @pytest.mark.parametrize(
         "t, want", [(1e-310, -713.4945260087142), (5e-324, -744.1332191019412)]
@@ -513,9 +520,11 @@ class TestLargeOrderScaling:
             assert np.all(lv <= bound + 1e-12)
 
     def test_linear_variant(self):
-        assert uniform_l(60.0, 3.0) == pytest.approx(
-            math.exp(log_uniform_l(60.0, 3.0)), rel=1e-14
-        )
+        # L_nu(t) = exp(nu psi(t)) / (sqrt(2 pi nu) (1 + t^2)^(1/4))
+        nu, t = 60.0, 3.0
+        want = math.exp(nu * psi(t)) / math.sqrt(2.0 * math.pi * nu)
+        want /= (1.0 + t * t) ** 0.25
+        assert math.exp(log_uniform_l(nu, t)) == pytest.approx(want, rel=1e-14)
 
     def test_domain(self):
         with pytest.raises(DomainError):
