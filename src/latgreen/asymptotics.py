@@ -15,6 +15,7 @@ constant, and the uniform power-times-exponential upper bound with
 caller-supplied constants.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -278,6 +279,10 @@ def uniform_bound_rhs(d, q, a, x, kappa1, kappa):
     return kappa1 * nrm ** -(d - 2.0 * q) * math.exp(-kappa * m * nrm)
 
 
+# Most (a, x) points, one `green_bessel` call each, a bound sweep may take.
+_BOUND_MAX_POINTS = 100_000
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Worst-case ratio of the Green function to the bound over a sweep."""
@@ -293,45 +298,35 @@ def uniform_bound_check(d, q, kappa, kappa1, a_values, box):
     """Sweep ``a`` and the box and report the max of value / bound.
 
     Exploits permutation and sign symmetry: only sorted nonnegative points
-    are evaluated.
+    are evaluated, ``comb(box + d, d) - 1`` per ``a``; a sweep of more than
+    ``_BOUND_MAX_POINTS`` in all is refused with ``DomainError``.
     """
     if int(d) != d or d < 1:
         raise DomainError("d must be an integer >= 1")
     if box < 1:
         raise DomainError("box must be >= 1")
-    tasks = [
-        (float(a), x) for a in a_values for x in _sorted_box_points(d, box)
-    ]
+    d = int(d)
+    # comb(box + d, d) >= 2^min(box, d), so comb only runs where it is cheap
+    n_checked = len(a_values) * (math.comb(box + d, d) - 1) if min(box, d) <= 64 else math.inf
+    if n_checked > _BOUND_MAX_POINTS:
+        raise DomainError(f"bound sweep is over the {_BOUND_MAX_POINTS}-point limit")
 
     worst = -math.inf
     arg = (float("nan"), ())
-    for a, x in tasks:
-        val = green_bessel(GreenParams(d, a, q), x)
-        ratio = val.value / uniform_bound_rhs(d, q, a, x, kappa1, kappa)
-        if ratio > worst:
-            worst = ratio
-            arg = (a, tuple(int(c) for c in x))
+    for a in a_values:
+        a = float(a)
+        points = itertools.combinations_with_replacement(range(box + 1), d)
+        next(points)  # the origin
+        for x in points:
+            val = green_bessel(GreenParams(d, a, q), x)
+            ratio = val.value / uniform_bound_rhs(d, q, a, x, kappa1, kappa)
+            if ratio > worst:
+                worst = ratio
+                arg = (a, x)
     return BoundReport(
         holds=worst <= 1.0,
         worst_ratio=worst,
         worst_a=arg[0],
         worst_x=arg[1],
-        n_checked=len(tasks),
+        n_checked=n_checked,
     )
-
-
-def _sorted_box_points(d, box):
-    """Nonzero lattice points with sorted nonnegative coordinates <= box."""
-    pts = []
-
-    def rec(prefix, lo):
-        if len(prefix) == d:
-            if any(prefix):
-                pts.append(tuple(prefix))
-            return
-        for c in range(lo, box + 1):
-            rec(prefix + [c], c)
-
-    rec([], 0)
-    return pts
-

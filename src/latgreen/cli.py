@@ -70,6 +70,9 @@ EXIT_USAGE = 64
 
 _REL_TOL_ENV = "LATGREEN_REL_TOL"
 
+# Most rows one ``gbar`` export may hold; the README's export has 255.
+_GBAR_MAX_ROWS = 100_000
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with the usage-error exit code pinned to 64.
@@ -295,6 +298,8 @@ def _cmd_gbar(args, parser):
         parser.error("--a-list must be nonempty")
     if len(args.x) != args.d:
         parser.error(f"--x does not have {args.d} coordinates")
+    if args.y_steps * len(args.a_list) > _GBAR_MAX_ROWS:
+        raise DomainError(f"--y-steps x --a-list length is over the {_GBAR_MAX_ROWS}-row limit")
     import numpy as np
 
     out = _Output(args)

@@ -13,8 +13,8 @@
     sum, and far points shift it into the complex plane.  The sum runs on
     the part of the grid its symmetries leave.  The massless case subtracts
     a smoothly windowed copy of the singular part and integrates it in polar
-    coordinates, with its own radial-rule error term.  Restricted to d <= 3;
-    exists purely as a cross-check.
+    coordinates, with its own radial-rule error term.  One `_symbol` serves
+    every path.  Restricted to d <= 3; exists purely as a cross-check.
 
 ``green_d1_closed``
     Exact finite sum for d = 1 and integer exponent.
@@ -246,6 +246,19 @@ def _sphere_rule(d):
     return coords, np.outer(wc, w)
 
 
+def _symbol(a, axes, d):
+    """``a^2 + 1 - mean_j cos(k_j)`` as ``a^2 + sum_j (2/d) sin^2(k_j / 2)``.
+
+    The difference form loses about eps/a^2 relative near k = 0, where the
+    integrand peaks.  The nodes ``axes`` broadcast against each other and
+    may be complex (``k + i theta``); each is scaled before it broadcasts.
+    """
+    acc = a * a
+    for kj in axes:
+        acc = acc + (2.0 / d) * np.sin(0.5 * kj) ** 2
+    return acc
+
+
 @lru_cache(maxsize=8)
 def _torus_weight(d, a, q, n):
     """Integrand weights on the ``(n//2 + 1)^d`` orthant of the n^d torus grid.
@@ -260,7 +273,7 @@ def _torus_weight(d, a, q, n):
     """
     k, mult = _half_range(n)
     axes = np.meshgrid(*[k] * d, indexing="ij", sparse=True)
-    denom = a * a + 1.0 - sum(np.cos(kj) for kj in axes) / d
+    denom = _symbol(a, axes, d)
     if a == 0.0:
         factor = 1.0 - _smooth_window(np.sqrt(sum(kj ** 2 for kj in axes)))
         denom.flat[0] = 1.0  # excluded point; its window factor is exactly 0
@@ -278,9 +291,9 @@ def _torus_sum(d, a, q, x_abs, theta, n, check_imag=False):
 
     Shifting an axis extracts the decay ``exp(-theta_j x_j)`` analytically, so
     the sum S has moderate cancellation even when the Green function is tiny;
-    ``theta = 0`` is the periodic sum.  The shifted symbol keeps a positive
-    real part while ``mean_j cosh(theta_j) < 1 + a^2``, which the caller
-    guarantees by undershooting the saddle shift.
+    ``theta = 0`` is the periodic sum.  `_symbol` at ``k + i theta`` keeps a
+    positive real part while ``mean_j cosh(theta_j) < 1 + a^2``, which the
+    caller guarantees by undershooting the saddle shift.
 
     The sum runs on the part of the grid its symmetries leave.  An axis with
     ``theta_j = 0`` is even: it runs on its half range with phase
@@ -307,12 +320,8 @@ def _torus_sum(d, a, q, x_abs, theta, n, check_imag=False):
             axes.append(half)
             phases.append(mult * (np.exp(1j * half * xj) if theta[axis] else np.cos(half * xj)))
     if shifted:
-        denom = a * a + 1.0
-        parts = [np.cosh(t) * np.cos(nodes) - 1j * np.sinh(t) * np.sin(nodes)
-                 for t, nodes in zip(theta, axes)]
-        for part in np.ix_(*parts):
-            denom = denom - part / d
-        weight = _inv_power(denom, q)
+        contour = np.ix_(*[nodes + 1j * t for t, nodes in zip(theta, axes)])
+        weight = _inv_power(_symbol(a, contour, d), q)
         scale = float(np.mean(np.abs(weight))) if check_imag else None
     else:
         weight, scale = _torus_weight(d, a, q, n)
@@ -342,9 +351,7 @@ def _polar_geometry(d, q, n_radial):
     omega, wo = _sphere_rule(d)
     r = r.reshape((-1,) + (1,) * wo.ndim)
     kk = [r * omega_j for omega_j in omega]
-    # 1 - mean_j cos(k_j) as a sum of squares: the nodes crowd towards r = 0,
-    # where the difference form cancels
-    ratio = sum(2.0 * np.sin(0.5 * kj) ** 2 for kj in kk) / (d * r ** 2)
+    ratio = _symbol(0.0, kk, d) / r ** 2
     base = ratio ** (-q) * _smooth_window(r) * wr.reshape(r.shape) * wo
     scale = (0.5 * _WINDOW_OUTER) ** (gamma + 1.0) / (2.0 * np.pi) ** d
     return kk, scale * base
@@ -432,7 +439,7 @@ def green_fourier_oracle(p, x):
                 delta = min(0.5, 3.0 / exponent)
                 theta = (1.0 - delta) * saddle
         # image terms decay like exp(-m (n - 2 |x|_inf))
-        need = (-math.log(max(_FOURIER_REL_TOL, 1e-15)) + 8.0) / m + 2.0 * np.max(x_abs)
+        need = (-math.log(_FOURIER_REL_TOL) + 8.0) / m + 2.0 * np.max(x_abs)
         auto = int(2 ** math.ceil(math.log2(max(need, 64.0))))
         sizes = (auto, 2 * auto) if theta.any() else (auto,)
     else:
@@ -482,14 +489,7 @@ def green_fourier_oracle(p, x):
             est = max(diff1, floor)
         est += polar_err
         if est <= _FOURIER_REL_TOL * abs(val):
-            log_val = math.log(val) + log_prefactor
-            value = math.exp(log_val)
-            return GreenValue(
-                value=value,
-                log_value=log_val,
-                est_error=float(est / abs(val)) * value,
-                method="fourier",
-            )
+            return GreenValue.from_log(math.log(val) + log_prefactor, est / val, "fourier")
         failure = AccuracyError(
             f"Fourier grid {n} too coarse (est {est:.3e}, "
             f"half-grid diff {diff1:.3e})",

@@ -187,34 +187,33 @@ def norm_context(x, d, a):
     )
 
 
+# Most rows one unit-ball export may hold; the README's export has 360.
+_BALL_MAX_ROWS = 100_000
+
+
 def unit_ball_rows(d, a, n_points):
     """Yield (angles, boundary point) pairs sweeping the unit sphere.
 
     Radii come from homogeneity: the boundary point along direction ``w`` is
     ``w / |w|_a``.  d = 2 sweeps ``theta`` uniformly on [0, 2pi); d = 3 adds
-    a polar sweep with both poles and the equator included.
+    a polar sweep with both poles and the equator included.  More than
+    ``_BALL_MAX_ROWS`` rows are refused with ``DomainError``.
     """
     if d not in (2, 3):
         raise DomainError("unit ball export supports d in {2, 3}")
     if n_points < 8:
         raise DomainError("n_points must be >= 8")
-    if d == 2:
-        thetas = 2.0 * np.pi * np.arange(n_points) / n_points
-        dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        radii = 1.0 / a_norm_batch(dirs, d, a)
-        for theta, w, r in zip(thetas, dirs, radii):
-            yield (theta,), r * w
-        return
-    n_phi = n_points // 2 + 1
-    if n_phi % 2 == 0:
-        n_phi += 1  # keep the equator on the grid
-    phis = np.linspace(0.0, np.pi, n_phi)
+    n_phi = (n_points // 2 + 1) | 1 if d == 3 else 1  # odd: the equator is on the grid
+    if n_points * n_phi > _BALL_MAX_ROWS:
+        raise DomainError(f"{n_points * n_phi} rows are over the {_BALL_MAX_ROWS}-row limit")
     thetas = 2.0 * np.pi * np.arange(n_points) / n_points
+    # d = 2 sweeps the equator alone, where sin(phi) is exactly 1
+    phis = np.linspace(0.0, np.pi, n_phi) if d == 3 else np.full(1, 0.5 * np.pi)
     tt, pp = np.meshgrid(thetas, phis)
     tt, pp = tt.ravel(), pp.ravel()
     dirs = np.stack(
         [np.sin(pp) * np.cos(tt), np.sin(pp) * np.sin(tt), np.cos(pp)], axis=1
-    )
+    )[:, :d]
     radii = 1.0 / a_norm_batch(dirs, d, a)
     for theta, phi, w, r in zip(tt, pp, dirs, radii):
-        yield (theta, phi), r * w
+        yield ((theta, phi) if d == 3 else (theta,)), r * w

@@ -262,6 +262,14 @@ class TestBall:
             run_cli(capsys, "ball", "--d", "1", "--a", "1", "--points", "16")
         assert exc.value.code == 64
 
+    def test_row_budget_refused_before_building(self, capsys):
+        # 1e8 points in d = 3 are 5e15 rows: a numpy memory error before
+        code, out, err = run_cli(
+            capsys, "ball", "--d", "3", "--a", "1", "--points", "100000000"
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "row limit" in err
+
 
 class TestAsy:
     def test_regime_one_converges(self, capsys):
@@ -351,6 +359,15 @@ class TestGbar:
             )
         assert exc.value.code == 64
 
+    def test_row_budget_refused_before_building(self, capsys):
+        # the y grid was allocated first: a numpy memory error at 1e12 steps
+        code, out, err = run_cli(
+            capsys, "gbar", "--d", "1", "--x", "1", "--a-list", "0.5,1",
+            "--y-range", "0.4:2.5", "--y-steps", "1000000000000",
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "row limit" in err
+
 
 class TestBound:
     def test_holds_with_frozen_constants(self, capsys):
@@ -387,6 +404,16 @@ class TestBound:
                 "--kappa1", "1", "--a-grid", "0.5", "--box", "2",
             )
         assert exc.value.code == 64
+
+    @pytest.mark.parametrize("d, box", [(3, 100_000), (10**9, 10**9)])
+    def test_point_budget_refused_before_sweeping(self, capsys, d, box):
+        # box 1e5 in d = 3 listed its 1.7e14 points first and ran out of memory
+        code, out, err = run_cli(
+            capsys, "bound", "--d", str(d), "--q", "1", "--kappa", "0.5",
+            "--kappa1", "0.6", "--a-grid", "0,0.25,1,4", "--box", str(box),
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "point limit" in err
 
 
 class TestRecordRoundTrip:

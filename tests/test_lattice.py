@@ -14,6 +14,7 @@ from latgreen import (
     DivergenceError,
     DomainError,
     GreenParams,
+    LatticeGreenError,
     UnsupportedError,
     green_bessel,
     green_d1_closed,
@@ -408,6 +409,37 @@ class TestFourierErrorHonesty:
                         if dev > est:
                             bad.append((d, q, a, x, dev, est))
         assert bad == []
+
+    def test_small_killing_within_estimates(self):
+        # off the acceptance grid, where the periodic orthant has n up to
+        # 32768 and the symbol is near a^2 at the peak: each pair agrees
+        # within the combined estimate, or one route refuses with a typed error
+        rng = np.random.default_rng(2024)
+        bad = []
+        for _ in range(60):
+            d = int(rng.integers(1, 3))
+            a = float(np.exp(rng.uniform(np.log(1e-3 if d == 1 else 1e-2), np.log(0.05))))
+            q = float(rng.choice([0.5, 1.0, 2.0]))
+            x = rng.integers(-40, 41, size=d)
+            p = GreenParams(d, a, q)
+            try:
+                gb = green_bessel(p, x)
+                gf = green_fourier_oracle(p, x)
+            except LatticeGreenError:
+                continue
+            dev = abs(math.expm1(gf.log_value - gb.log_value))
+            est = gf.est_error / gf.value + gb.est_error / gb.value
+            if dev > est:
+                bad.append((d, a, q, tuple(x), dev / est))
+        assert bad == []
+
+    def test_small_killing_periodic_pin(self):
+        # the difference form 1 + a^2 - cos k put 3.3e-11 into this log
+        p = GreenParams(1, 1.06e-3, 1.0)
+        gb = green_bessel(p, [27])
+        gf = green_fourier_oracle(p, [27])
+        dev = abs(gf.log_value - gb.log_value)
+        assert dev <= gf.est_error / gf.value + gb.est_error / gb.value
 
     # log G by mpmath quadrature of the Bessel representation,
     # mp.quad(t^(q-1) e^(-a^2 t) prod_j e^(-t/d) I_|x_j|(t/d), [0, 1, 10, 100, inf])
